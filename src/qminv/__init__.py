@@ -25,11 +25,9 @@ from .exactalg import (
     EquivCoeff,
     InvalidTruncationError,
     QSeries,
-    Rational,
     ZLaurent,
     laurent_residue,
     series_log_product,
-    series_negate_variable,
 )
 from .invariants import (
     ROUTE_CLOSED,
@@ -47,11 +45,9 @@ from .invariants import (
     qm_moduli,
     series_identity_even,
     series_identity_odd,
-    vafa_witten,
 )
 from .quotloc import (
     DegenerateQuotientError,
-    FixedLocusDecomposition,
     InvalidComponentError,
     UnsupportedComponentError,
     WallComponent,
@@ -73,7 +69,6 @@ __all__ = [
     "DegenerateQuotientError",
     "DomainError",
     "EquivCoeff",
-    "FixedLocusDecomposition",
     "InvalidComponentError",
     "InvalidTruncationError",
     "InvariantQuery",
@@ -82,7 +77,6 @@ __all__ = [
     "QSeries",
     "ROUTE_CLOSED",
     "ROUTE_ORACLE",
-    "Rational",
     "SeriesIdentity",
     "UnsupportedComponentError",
     "UnsupportedQueryError",
@@ -109,13 +103,11 @@ __all__ = [
     "series_identity_even",
     "series_identity_odd",
     "series_log_product",
-    "series_negate_variable",
     "sigma_minus_one",
     "slice_euler_bruteforce",
     "solve_base_degrees",
     "stabilizer_order",
     "torsion_order",
-    "vafa_witten",
     "wall_components",
     "__version__",
 ]

@@ -19,7 +19,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .arith import InvariantQuery, canonical_u_choice
 from .invariants import (
@@ -54,35 +53,30 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_INVALID)
 
 
-def _fmt(value: Fraction) -> str:
-    return str(value)
-
-
 def _breakdown_payload(breakdown) -> list[dict]:
-    return [{"m": m, "contribution": _fmt(c)} for m, c in breakdown]
+    return [{"m": m, "contribution": str(c)} for m, c in breakdown]
+
+
+def _write_out(path: str, records: list[dict]) -> None:
+    """Write one JSON line per record; an unwritable path is invalid input."""
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.writelines(json.dumps(record) + "\n" for record in records)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out file: {exc}") from exc
 
 
 def _emit(payload: dict, args, table_lines: list[str]) -> None:
     if args.format == "json":
-        text = json.dumps(payload)
-        print(text)
+        print(json.dumps(payload))
     else:
         print("\n".join(table_lines))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload) + "\n")
+        _write_out(args.out, [payload])
 
 
-def _build_query(args) -> InvariantQuery:
-    u_choice = None if args.deg_a == 1 else canonical_u_choice(args.rank, args.deg_a)
-    return InvariantQuery(
-        r=args.rank,
-        d=args.deg_d,
-        a=args.deg_a,
-        w=args.degree_w,
-        g=args.genus,
-        u_choice=u_choice,
-    )
+def _u_choice(args):
+    return None if args.deg_a == 1 else canonical_u_choice(args.rank, args.deg_a)
 
 
 def _result_for(query: InvariantQuery, route: str, side: str, strict: bool):
@@ -94,50 +88,39 @@ def _result_for(query: InvariantQuery, route: str, side: str, strict: bool):
 
 
 def _cmd_invariant(args) -> int:
-    query = _build_query(args)
+    query = InvariantQuery(
+        r=args.rank, d=args.deg_d, a=args.deg_a, w=args.degree_w, g=args.genus,
+        u_choice=_u_choice(args),
+    )
     strict = not args.permissive
     checks = []
     routes_payload = None
 
     if query.w == 0:
         result = qm_degree_zero(query)
-        route_label = result.route
     elif args.route == "both":
         closed = _result_for(query, ROUTE_CLOSED, args.side, strict)
-        oracle = _result_for(query, ROUTE_ORACLE, args.side, strict)
-        agree = closed.value_t == oracle.value_t
-        checks.append({"name": "route_agreement", "pass": agree})
+        result = _result_for(query, ROUTE_ORACLE, args.side, strict)
+        checks.append({"name": "route_agreement", "pass": closed.value_t == result.value_t})
         routes_payload = {
-            ROUTE_CLOSED: {
-                "value": _fmt(closed.value_t),
-                "breakdown": _breakdown_payload(closed.breakdown),
-            },
-            ROUTE_ORACLE: {
-                "value": _fmt(oracle.value_t),
-                "breakdown": _breakdown_payload(oracle.breakdown),
-            },
+            name: {"value": str(r.value_t), "breakdown": _breakdown_payload(r.breakdown)}
+            for name, r in ((ROUTE_CLOSED, closed), (ROUTE_ORACLE, result))
         }
-        result = oracle
-        route_label = "both"
-        if not agree:
-            payload, lines = _invariant_payload(
-                query, args, result, route_label, checks, routes_payload
-            )
-            _emit(payload, args, lines)
-            print(
-                f"route disagreement: closed={closed.value_t} oracle={oracle.value_t}",
-                file=sys.stderr,
-            )
-            return EXIT_DISAGREE
     else:
         route = ROUTE_CLOSED if args.route == "closed" else ROUTE_ORACLE
         result = _result_for(query, route, args.side, strict)
-        route_label = result.route
 
+    route_label = "both" if routes_payload else result.route
     payload, lines = _invariant_payload(
         query, args, result, route_label, checks, routes_payload
     )
     _emit(payload, args, lines)
+    if checks and not checks[0]["pass"]:
+        print(
+            f"route disagreement: closed={closed.value_t} oracle={result.value_t}",
+            file=sys.stderr,
+        )
+        return EXIT_DISAGREE
     return EXIT_OK
 
 
@@ -151,7 +134,7 @@ def _invariant_payload(query, args, result, route_label, checks, routes_payload)
             "g": query.g,
             "side": args.side,
         },
-        "value": _fmt(result.value_t),
+        "value": str(result.value_t),
         "route": route_label,
         "conjectural": result.conjectural,
         "breakdown": _breakdown_payload(result.breakdown),
@@ -163,7 +146,7 @@ def _invariant_payload(query, args, result, route_label, checks, routes_payload)
     if args.decimal:
         payload["approx"] = float(result.value_t)
     if args.raw:
-        payload["raw"] = f"({_fmt(result.value_t)})*t"
+        payload["raw"] = f"({result.value_t})*t"
 
     lines = [
         f"query        r={query.r} d={query.d} a={query.a} w={query.w} g={query.g} side={args.side}",
@@ -172,7 +155,7 @@ def _invariant_payload(query, args, result, route_label, checks, routes_payload)
         f"conjectural  {'yes' if result.conjectural else 'no'}",
     ]
     if result.breakdown:
-        pieces = "; ".join(f"m={m}: {_fmt(c)}" for m, c in result.breakdown)
+        pieces = "; ".join(f"m={m}: {c}" for m, c in result.breakdown)
         lines.append(f"breakdown    {pieces}")
     if routes_payload is not None:
         for name, data in routes_payload.items():
@@ -198,8 +181,8 @@ def _cmd_series(args) -> int:
     coefficients = [
         {
             "w": w,
-            "lhs": _fmt(check.lhs.coefficient(w)),
-            "rhs": _fmt(check.rhs.coefficient(w)),
+            "lhs": str(check.lhs.coefficient(w)),
+            "rhs": str(check.rhs.coefficient(w)),
         }
         for w in range(1, args.order + 1)
     ]
@@ -221,10 +204,12 @@ def _cmd_series(args) -> int:
 def _parse_genus_range(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    if "," in text:
-        return [int(part) for part in text.split(",") if part]
-    return [int(text)]
+        genera = list(range(int(lo), int(hi) + 1))
+    else:
+        genera = [int(part) for part in text.split(",") if part]
+    if not genera:
+        raise ValueError("empty genus range")
+    return genera
 
 
 def _cmd_sweep(args) -> int:
@@ -234,11 +219,11 @@ def _cmd_sweep(args) -> int:
         ws = [int(part) for part in args.w_list.split(",") if part]
     else:
         ws = list(range(1, args.w_max + 1))
+    u = _u_choice(args)
     records = []
     total = agree = conjectural = 0
     for g in genera:
         for w in ws:
-            u = None if args.deg_a == 1 else canonical_u_choice(args.rank, args.deg_a)
             query = InvariantQuery(
                 r=args.rank, d=args.deg_d, a=args.deg_a, w=w, g=g, u_choice=u
             )
@@ -251,8 +236,8 @@ def _cmd_sweep(args) -> int:
             records.append(
                 {
                     "query": {"r": query.r, "d": query.d, "a": query.a, "w": w, "g": g},
-                    "closed": _fmt(closed.value_t),
-                    "oracle": _fmt(oracle.value_t),
+                    "closed": str(closed.value_t),
+                    "oracle": str(oracle.value_t),
                     "agree": point_agree,
                     "conjectural": oracle.conjectural,
                 }
@@ -272,10 +257,7 @@ def _cmd_sweep(args) -> int:
             )
         print(f"{agree}/{total} agree")
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            for record in records:
-                handle.write(json.dumps(record) + "\n")
-            handle.write(json.dumps({"summary": summary}) + "\n")
+        _write_out(args.out, records + [{"summary": summary}])
     return EXIT_OK if agree == total else EXIT_DISAGREE
 
 
@@ -331,7 +313,7 @@ def build_parser() -> _Parser:
     ser.add_argument(
         "--order",
         type=int,
-        default=int(os.environ.get(TRUNCATION_ENV, DEFAULT_SERIES_ORDER)),
+        default=os.environ.get(TRUNCATION_ENV, DEFAULT_SERIES_ORDER),
         help=f"truncation order (default: ${TRUNCATION_ENV} or {DEFAULT_SERIES_ORDER})",
     )
     _add_output_flags(ser)
@@ -355,8 +337,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INVALID
-    if not hasattr(args, "permissive"):
-        args.permissive = False
     handlers = {
         "invariant": _cmd_invariant,
         "series": _cmd_series,

@@ -5,13 +5,18 @@ point is used anywhere.  Three small coefficient rings live here:
 
 * ``QSeries`` -- truncated formal power series in ``q`` over ``Fraction``,
   used for the generating-series identities.
-* ``EquivCoeff`` -- elements ``s(t) + o(t)*omega`` of the graded ring
-  ``Q[t]{1, omega}`` with ``omega**2 = 0``, where ``omega`` stands for the
-  first Chern class of the canonical bundle of the base curve and ``t`` is
-  the equivariant weight of the scaling torus.  Integrating out ``omega``
-  against the base curve is an explicit, separate operation.
+* ``EquivCoeff`` -- elements ``s(t) + o(t)*omega`` of the one ring the
+  residue engine uses, Q[t]/(t**3) (x) Q[omega]/(omega**2), where ``omega``
+  stands for the first Chern class of the canonical bundle of the base
+  curve and ``t`` is the equivariant weight of the scaling torus.
+  Integrating out ``omega`` against the base curve is an explicit,
+  separate operation.
 * ``ZLaurent`` -- finite Laurent tails in the localisation variable ``z``
-  with ``EquivCoeff`` coefficients; the residue is the ``z**-1`` entry.
+  with ``EquivCoeff`` coefficients, kept from ``z**Z_FLOOR`` up; the
+  residue is the ``z**-1`` entry.
+
+Values are coerced to ``Fraction`` once, on entry; arithmetic on
+``Fraction`` coefficients never coerces its own results again.
 """
 
 from __future__ import annotations
@@ -20,24 +25,24 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-# The universal scalar: exact, always reduced, positive denominator.
-Rational = Fraction
+# The residue engine's ring: t-polynomials are cut above t**T_CAP.  The
+# invariants live in t-degree <= 1; degree 2 keeps one spare slot.
+T_CAP = 2
 
-# Invariants live in t-degree <= 1; degree 2 only appears in vanishing
-# arguments, so the default cap keeps one spare slot.
-DEFAULT_T_CAP = 2
-
-# Powers of z below this never contribute: the wall-crossing base is a
+# Powers of z below Z_FLOOR never contribute: the wall-crossing base is a
 # curve, so anything past z**-2 dies against the point class.
-DEFAULT_MIN_Z_EXPONENT = -2
+Z_FLOOR = -2
+
+_ZERO = Fraction(0)
+_ZERO_POLY = (_ZERO,) * (T_CAP + 1)
 
 
 class InvalidTruncationError(ValueError):
     """Raised when a series operation is asked for truncation order 0."""
 
 
-def _as_fraction_tuple(values) -> tuple[Fraction, ...]:
-    return tuple(Fraction(v) for v in values)
+def _as_fraction(value) -> Fraction:
+    return value if isinstance(value, Fraction) else Fraction(value)
 
 
 @dataclass(frozen=True)
@@ -52,7 +57,7 @@ class QSeries:
     coeffs: tuple[Fraction, ...]
 
     def __post_init__(self):
-        coeffs = _as_fraction_tuple(self.coeffs)
+        coeffs = tuple(map(_as_fraction, self.coeffs))
         if len(coeffs) < 2:
             raise InvalidTruncationError("truncation order must be >= 1")
         object.__setattr__(self, "coeffs", coeffs)
@@ -107,7 +112,7 @@ class QSeries:
         return QSeries(tuple(out))
 
     def scale(self, c) -> "QSeries":
-        c = Fraction(c)
+        c = _as_fraction(c)
         return QSeries(tuple(c * coeff for coeff in self.coeffs))
 
     def negate_variable(self) -> "QSeries":
@@ -157,25 +162,19 @@ def series_log_product(order: int) -> QSeries:
     return QSeries(tuple(coeffs))
 
 
-def series_negate_variable(s: QSeries) -> QSeries:
-    return s.negate_variable()
-
-
-def _as_tpoly(value, cap: int) -> tuple[Fraction, ...]:
+def _as_tpoly(value) -> tuple[Fraction, ...]:
     if isinstance(value, (int, Fraction)):
-        poly = (Fraction(value),)
-    else:
-        poly = _as_fraction_tuple(value)
-    poly = poly[: cap + 1]
-    return poly + (Fraction(0),) * (cap + 1 - len(poly))
+        value = (value,)
+    poly = tuple(map(_as_fraction, value[: T_CAP + 1]))
+    return poly + (_ZERO,) * (T_CAP + 1 - len(poly))
 
 
-def _tpoly_mul(a, b, cap: int) -> tuple[Fraction, ...]:
-    out = [Fraction(0)] * (cap + 1)
+def _tpoly_mul(a, b) -> tuple[Fraction, ...]:
+    out = [_ZERO] * (T_CAP + 1)
     for i, ai in enumerate(a):
         if not ai:
             continue
-        for j in range(min(len(b), cap + 1 - i)):
+        for j in range(T_CAP + 1 - i):
             if b[j]:
                 out[i + j] += ai * b[j]
     return tuple(out)
@@ -183,85 +182,78 @@ def _tpoly_mul(a, b, cap: int) -> tuple[Fraction, ...]:
 
 @dataclass(frozen=True)
 class EquivCoeff:
-    """Element ``scalar(t) + omega_part(t) * omega`` with ``omega**2 = 0``.
+    """Element ``scalar(t) + omega_part(t) * omega`` of Q[t]/(t**3) (x) Q[omega]/(omega**2).
 
     There is no slot for ``omega**2``, so nilpotence holds by construction.
-    t-polynomials are truncated at ``t_cap`` (a genuine quotient ring, so
-    ring laws survive truncation exactly).
+    Both parts are tuples of ``T_CAP + 1`` coefficients; dropping t**3 is a
+    genuine quotient, so ring laws survive the truncation exactly.
     """
 
-    scalar: tuple[Fraction, ...] = (Fraction(0),)
-    omega_part: tuple[Fraction, ...] = (Fraction(0),)
-    t_cap: int = DEFAULT_T_CAP
+    scalar: tuple[Fraction, ...] = _ZERO_POLY
+    omega_part: tuple[Fraction, ...] = _ZERO_POLY
 
     def __post_init__(self):
-        object.__setattr__(self, "scalar", _as_tpoly(self.scalar, self.t_cap))
-        object.__setattr__(self, "omega_part", _as_tpoly(self.omega_part, self.t_cap))
+        object.__setattr__(self, "scalar", _as_tpoly(self.scalar))
+        object.__setattr__(self, "omega_part", _as_tpoly(self.omega_part))
 
     @classmethod
-    def zero(cls, t_cap: int = DEFAULT_T_CAP) -> "EquivCoeff":
-        return cls((), (), t_cap)
+    def _of(cls, scalar: tuple, omega_part: tuple) -> "EquivCoeff":
+        """Wrap two full-length Fraction tuples without coercing them again."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "scalar", scalar)
+        object.__setattr__(self, "omega_part", omega_part)
+        return self
 
     @classmethod
-    def one(cls, t_cap: int = DEFAULT_T_CAP) -> "EquivCoeff":
-        return cls((Fraction(1),), (), t_cap)
+    def zero(cls) -> "EquivCoeff":
+        return cls._of(_ZERO_POLY, _ZERO_POLY)
 
     @classmethod
-    def from_scalar(cls, value, t_cap: int = DEFAULT_T_CAP) -> "EquivCoeff":
-        return cls((Fraction(value),), (), t_cap)
+    def one(cls) -> "EquivCoeff":
+        return cls((1,))
 
     @classmethod
-    def t(cls, t_cap: int = DEFAULT_T_CAP) -> "EquivCoeff":
-        return cls((Fraction(0), Fraction(1)), (), t_cap)
+    def from_scalar(cls, value) -> "EquivCoeff":
+        return cls((value,))
 
     @classmethod
-    def omega(cls, t_cap: int = DEFAULT_T_CAP) -> "EquivCoeff":
-        return cls((), (Fraction(1),), t_cap)
+    def t(cls) -> "EquivCoeff":
+        return cls((0, 1))
 
-    def _common_cap(self, other: "EquivCoeff") -> int:
-        return min(self.t_cap, other.t_cap)
+    @classmethod
+    def omega(cls) -> "EquivCoeff":
+        return cls((), (1,))
 
     def __add__(self, other: "EquivCoeff") -> "EquivCoeff":
-        cap = self._common_cap(other)
-        return EquivCoeff(
+        return EquivCoeff._of(
             tuple(a + b for a, b in zip(self.scalar, other.scalar)),
             tuple(a + b for a, b in zip(self.omega_part, other.omega_part)),
-            cap,
         )
 
     def __sub__(self, other: "EquivCoeff") -> "EquivCoeff":
         return self + (-other)
 
     def __neg__(self) -> "EquivCoeff":
-        return EquivCoeff(
-            tuple(-c for c in self.scalar),
-            tuple(-c for c in self.omega_part),
-            self.t_cap,
-        )
+        return self.scale(-1)
 
     def __mul__(self, other: "EquivCoeff") -> "EquivCoeff":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        cap = self._common_cap(other)
-        scalar = _tpoly_mul(self.scalar, other.scalar, cap)
-        omega = tuple(
-            x + y
-            for x, y in zip(
-                _tpoly_mul(self.scalar, other.omega_part, cap),
-                _tpoly_mul(self.omega_part, other.scalar, cap),
-            )
+        omega = zip(
+            _tpoly_mul(self.scalar, other.omega_part),
+            _tpoly_mul(self.omega_part, other.scalar),
         )
-        return EquivCoeff(scalar, omega, cap)
+        return EquivCoeff._of(
+            _tpoly_mul(self.scalar, other.scalar), tuple(x + y for x, y in omega)
+        )
 
     def __rmul__(self, other) -> "EquivCoeff":
         return self.scale(other)
 
     def scale(self, c) -> "EquivCoeff":
-        c = Fraction(c)
-        return EquivCoeff(
-            tuple(c * v for v in self.scalar),
-            tuple(c * v for v in self.omega_part),
-            self.t_cap,
+        c = _as_fraction(c)
+        return EquivCoeff._of(
+            tuple(c * v for v in self.scalar), tuple(c * v for v in self.omega_part)
         )
 
     def is_zero(self) -> bool:
@@ -269,11 +261,7 @@ class EquivCoeff:
 
     def t_coeff(self, k: int) -> Fraction:
         """Coefficient of t**k in the scalar part."""
-        return self.scalar[k] if k <= self.t_cap else Fraction(0)
-
-    def omega_coeff(self, k: int) -> Fraction:
-        """Coefficient of t**k * omega."""
-        return self.omega_part[k] if k <= self.t_cap else Fraction(0)
+        return self.scalar[k] if k <= T_CAP else _ZERO
 
     def integrate_omega(self, genus: int) -> "EquivCoeff":
         """Pair the omega part against the base curve: int omega = 2g - 2.
@@ -282,7 +270,7 @@ class EquivCoeff:
         scalar part of the input does not survive integration.
         """
         factor = Fraction(2 * genus - 2)
-        return EquivCoeff(tuple(factor * c for c in self.omega_part), (), self.t_cap)
+        return EquivCoeff._of(tuple(factor * c for c in self.omega_part), _ZERO_POLY)
 
     def __str__(self) -> str:
         def poly(coeffs):
@@ -307,24 +295,18 @@ class EquivCoeff:
 class ZLaurent:
     """Finite Laurent tail in z over ``EquivCoeff``.
 
-    Exponents below ``min_exponent`` are discarded on construction (they
-    cannot contribute to any degree computation here); zero coefficients
-    are dropped.  The residue is the coefficient of ``z**-1``.
+    Exponents below ``Z_FLOOR`` and zero coefficients are dropped on
+    construction.  The residue is the coefficient of ``z**-1``.
     """
 
-    __slots__ = ("_terms", "min_exponent")
+    __slots__ = ("_terms",)
 
-    def __init__(self, terms, min_exponent: int = DEFAULT_MIN_Z_EXPONENT):
-        clean = {}
-        for exponent, coeff in dict(terms).items():
-            if exponent < min_exponent or coeff.is_zero():
-                continue
-            clean[int(exponent)] = coeff
-        self._terms = dict(sorted(clean.items()))
-        self.min_exponent = min_exponent
-
-    def items(self):
-        return self._terms.items()
+    def __init__(self, terms):
+        self._terms = {
+            int(exponent): coeff
+            for exponent, coeff in sorted(dict(terms).items())
+            if exponent >= Z_FLOOR and not coeff.is_zero()
+        }
 
     def exponents(self) -> list[int]:
         return list(self._terms)

@@ -9,9 +9,9 @@ Positive-degree invariants are evaluated on two independent routes:
   extract each z-residue, and sum the telescoped contributions.
 
 All reported values are reduced, i.e. the coefficient of the equivariant
-parameter t; the raw t-linear form is available from the result object.
-The moduli-side invariant carries the extra factor r^(2g) and doubles as
-the Vafa-Witten invariant of the product surface.
+parameter t (the CLI's ``--raw`` prints that coefficient times t).  The
+moduli-side invariant carries the extra factor r^(2g) and doubles as the
+Vafa-Witten invariant of the product surface.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .arith import InvariantQuery, divisors, is_prime
-from .exactalg import EquivCoeff, QSeries, series_log_product
+from .exactalg import QSeries, series_log_product
 from .quotloc import component_residue_degree, wall_components
 
 ROUTE_CLOSED = "closed_form"
@@ -46,10 +46,6 @@ class InvariantResult:
     route: str
     conjectural: bool
 
-    def raw_form(self) -> EquivCoeff:
-        """The un-reduced t-linear invariant value_t * t."""
-        return EquivCoeff((Fraction(0), self.value_t))
-
 
 def degree_congruent(query: InvariantQuery) -> bool:
     """Whether w = d*a mod r; the moduli space is empty otherwise."""
@@ -57,12 +53,22 @@ def degree_congruent(query: InvariantQuery) -> bool:
 
 
 def _closed_form_supported(query: InvariantQuery) -> bool:
+    """Rank 2, or prime rank with every divisor of w in {0, a} mod r."""
     if query.r == 2:
         return True
     if not is_prime(query.r):
         return False
     a_mod = query.a % query.r
     return all(m % query.r in (0, a_mod) for m in divisors(query.w))
+
+
+def _divisor_sum(query: InvariantQuery, scale: Fraction, conjectural: bool) -> InvariantResult:
+    """scale * sum_{m|w} 1/m under the congruence w = d*a mod r, else 0."""
+    if not degree_congruent(query):
+        return InvariantResult(Fraction(0), (), ROUTE_CLOSED, conjectural)
+    breakdown = tuple((m, scale / m) for m in divisors(query.w))
+    value = sum((c for _, c in breakdown), Fraction(0))
+    return InvariantResult(value, breakdown, ROUTE_CLOSED, conjectural)
 
 
 def qm_elliptic_closed(query: InvariantQuery) -> InvariantResult:
@@ -80,12 +86,7 @@ def qm_elliptic_closed(query: InvariantQuery) -> InvariantResult:
             f"no proven closed form for r={query.r}, w={query.w}: some divisor of w "
             f"lies outside {{0, {query.a}}} mod {query.r}"
         )
-    if not degree_congruent(query):
-        return InvariantResult(Fraction(0), (), ROUTE_CLOSED, False)
-    scale = Fraction(2 * query.g - 2)
-    breakdown = tuple((m, scale / m) for m in divisors(query.w))
-    value = sum((c for _, c in breakdown), Fraction(0))
-    return InvariantResult(value, breakdown, ROUTE_CLOSED, False)
+    return _divisor_sum(query, Fraction(2 * query.g - 2), conjectural=False)
 
 
 def qm_elliptic_oracle(query: InvariantQuery, strict: bool = True) -> InvariantResult:
@@ -138,9 +139,6 @@ def qm_moduli(
     )
 
 
-vafa_witten = qm_moduli
-
-
 def gw_moduli(
     query: InvariantQuery, route: str = ROUTE_CLOSED, strict: bool = True
 ) -> InvariantResult:
@@ -190,26 +188,17 @@ def qm_conjectural(query: InvariantQuery) -> InvariantResult:
     """
     if query.w < 1:
         raise ValueError("the conjectural formula needs w >= 1")
+    proven = _closed_form_supported(query)
     scale = Fraction(2 * query.g - 2) * Fraction(query.r) ** (2 * query.g)
-    if degree_congruent(query):
-        breakdown = tuple((m, scale / m) for m in divisors(query.w))
-        value = sum((c for _, c in breakdown), Fraction(0))
-    else:
-        breakdown = ()
-        value = Fraction(0)
-    a_mod = query.a % query.r
-    proven = is_prime(query.r) and all(
-        m % query.r in (0, a_mod) for m in divisors(query.w)
-    )
+    result = _divisor_sum(query, scale, conjectural=not proven)
     if proven:
         oracle = qm_moduli(query, route=ROUTE_ORACLE, strict=True)
-        if oracle.value_t != value:
+        if oracle.value_t != result.value_t:
             raise RuntimeError(
-                f"conjectural value {value} disagrees with the oracle "
+                f"conjectural value {result.value_t} disagrees with the oracle "
                 f"{oracle.value_t} on a proven query"
             )
-        return InvariantResult(value, breakdown, ROUTE_CLOSED, False)
-    return InvariantResult(value, breakdown, ROUTE_CLOSED, True)
+    return result
 
 
 class SeriesIdentity(NamedTuple):
@@ -218,8 +207,22 @@ class SeriesIdentity(NamedTuple):
     equal: bool
 
 
-def _series_prefactor(g: int) -> Fraction:
-    return Fraction((2 - 2 * g) * 2 ** (2 * g - 1))
+def _series_identity(g: int, order: int, d: int) -> SeriesIdentity:
+    """Rank-2 moduli-side invariants of base degree d against the eta-log.
+
+    The left side collects the w = d mod 2 coefficients (w >= 1); the right
+    side is (2-2g) * 2^(2g-1) * (U(q) -+ U(-q)), with the difference for
+    odd d and the sum for even d.
+    """
+    lhs_coeffs = [Fraction(0)] * (order + 1)
+    for w in range(2 - d, order + 1, 2):
+        query = InvariantQuery(r=2, d=d, a=1, w=w, g=g)
+        lhs_coeffs[w] = qm_moduli(query, route=ROUTE_CLOSED).value_t
+    lhs = QSeries(tuple(lhs_coeffs))
+    u = series_log_product(order)
+    flipped = u.negate_variable()
+    rhs = (u - flipped if d else u + flipped).scale((2 - 2 * g) * 2 ** (2 * g - 1))
+    return SeriesIdentity(lhs, rhs, lhs == rhs)
 
 
 def series_identity_odd(g: int, order: int) -> SeriesIdentity:
@@ -229,14 +232,7 @@ def series_identity_odd(g: int, order: int) -> SeriesIdentity:
     Right side: (2-2g) * 2^(2g-1) * (U(q) - U(-q)) with
     U(q) = log prod_{k>=1} (1 - q^k).
     """
-    lhs_coeffs = [Fraction(0)] * (order + 1)
-    for w in range(1, order + 1, 2):
-        query = InvariantQuery(r=2, d=1, a=1, w=w, g=g)
-        lhs_coeffs[w] = qm_moduli(query, route=ROUTE_CLOSED).value_t
-    lhs = QSeries(tuple(lhs_coeffs))
-    u = series_log_product(order)
-    rhs = (u - u.negate_variable()).scale(_series_prefactor(g))
-    return SeriesIdentity(lhs, rhs, lhs == rhs)
+    return _series_identity(g, order, d=1)
 
 
 def series_identity_even(g: int, order: int) -> SeriesIdentity:
@@ -245,11 +241,4 @@ def series_identity_even(g: int, order: int) -> SeriesIdentity:
     Left side: sum over even w >= 2 of the rank-2, d=0 moduli-side
     invariants.  Right side: (2-2g) * 2^(2g-1) * (U(q) + U(-q)).
     """
-    lhs_coeffs = [Fraction(0)] * (order + 1)
-    for w in range(2, order + 1, 2):
-        query = InvariantQuery(r=2, d=0, a=1, w=w, g=g)
-        lhs_coeffs[w] = qm_moduli(query, route=ROUTE_CLOSED).value_t
-    lhs = QSeries(tuple(lhs_coeffs))
-    u = series_log_product(order)
-    rhs = (u + u.negate_variable()).scale(_series_prefactor(g))
-    return SeriesIdentity(lhs, rhs, lhs == rhs)
+    return _series_identity(g, order, d=0)

@@ -21,7 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations_with_replacement
+from operator import sub
 from typing import Iterator
 
 from .arith import ChernClass, DomainError, InvariantQuery, NormalizationError, divisors
@@ -76,48 +77,34 @@ def stabilizer_order(r: int, a: int, u: ChernClass, strict: bool = True) -> int:
     return dim * dim
 
 
-@dataclass(frozen=True)
-class FixedLocusDecomposition:
-    """One ordered r-part decomposition of a rank-0 quotient class.
+def fixed_locus_decompositions(r: int, u: ChernClass) -> Iterator[tuple[int, ...]]:
+    """All ordered degree vectors (k_1, ..., k_r), k_i >= 0, summing to k = deg(u).
 
-    The contribution is zero as soon as two parts are nonzero (the locus
-    then carries a free translation action); a single nonzero part (0, k)
-    contributes the Euler characteristic k of the projective slice.
+    They are the decompositions u_1 + ... + u_r = u into classes (0, k_i),
+    read off from the partial sums s_1 <= ... <= s_{r-1} in [0, k].
     """
-
-    parts: tuple[ChernClass, ...]
-    euler_contribution: int
-
-
-def fixed_locus_decompositions(r: int, u: ChernClass) -> Iterator[FixedLocusDecomposition]:
-    """All ordered decompositions u_1 + ... + u_r = u into classes (0, k_i >= 0)."""
     if u.rank != 0:
         raise ValueError(f"fixed-locus enumeration needs a rank-0 class, got rank {u.rank}")
     k = u.deg
     if k < 1:
         raise DegenerateQuotientError("quotient degree must be >= 1")
-    for bars in combinations(range(k + r - 1), r - 1):
-        degs = []
-        prev = -1
-        for b in bars:
-            degs.append(b - prev - 1)
-            prev = b
-        degs.append(k + r - 2 - prev)
-        parts = tuple(ChernClass(0, ki) for ki in degs)
-        nonzero = [p for p in parts if not p.is_zero()]
-        contribution = nonzero[0].deg if len(nonzero) == 1 else 0
-        yield FixedLocusDecomposition(parts, contribution)
+    for sums in combinations_with_replacement(range(k + 1), r - 1):
+        yield tuple(map(sub, sums + (k,), (0,) + sums))
 
 
 def slice_euler_bruteforce(r: int, u: ChernClass) -> int:
     """Euler characteristic of the fixed-determinant slice for u = (0, k).
 
     Sums the contributions of every fixed-locus decomposition and checks
-    the total against the closed value r*k before returning it.
+    the total against the closed value r*k before returning it.  A
+    decomposition contributes zero as soon as two parts are nonzero (the
+    locus then carries a free translation action); a single nonzero part
+    k_i contributes the Euler characteristic k_i of the projective slice.
     """
     total = 0
-    for decomposition in fixed_locus_decompositions(r, u):
-        total += decomposition.euler_contribution
+    for degs in fixed_locus_decompositions(r, u):
+        if degs.count(0) == r - 1:
+            total += max(degs)
     if total != r * u.deg:
         raise RuntimeError(
             f"fixed-locus enumeration for (r,k)=({r},{u.deg}) gave {total}, "
@@ -201,21 +188,14 @@ def wall_components(query: InvariantQuery, strict: bool = True) -> list[WallComp
                 f"component m={m} has dimension {dim}; expected >= 1 for w >= 1"
             )
         supported = u_m.rank in (0, r - 1)
-        if supported:
-            stab = stabilizer_order(r, a, u_m)
-            if u_m.rank == 0:
-                euler = slice_euler_bruteforce(r, u_m)
-            else:
-                euler = dim
-        elif strict:
+        if strict and not supported:
             raise UnsupportedComponentError(
                 f"component m={m} has quotient rank {u_m.rank} outside the "
                 f"analysed classes {{0, {r - 1}}}; rerun permissively to apply "
                 "the conjectural fallback"
             )
-        else:
-            stab = dim * dim
-            euler = dim
+        stab = stabilizer_order(r, a, u_m, strict=False)
+        euler = slice_euler_bruteforce(r, u_m) if u_m.rank == 0 else dim
         components.append(
             WallComponent(
                 divisor=m,

@@ -111,6 +111,19 @@ class TestInvariantCommand:
         assert code == 0
         assert json.loads(target.read_text())["value"] == "8/3"
 
+    def test_out_in_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "record.json"
+        code, out, err = run(
+            capsys,
+            "invariant", "-r", "2", "-d", "1", "-a", "1", "-w", "3", "-g", "2",
+            "--format", "json", "--out", str(target),
+        )
+        assert code == 4
+        assert json.loads(out)["value"] == "8/3"
+        assert err.startswith("invalid input: cannot write --out file:")
+        assert err.count("\n") == 1
+        assert not target.exists()
+
     def test_higher_rank_uses_canonical_normalisation(self, capsys):
         code, out, _ = run(
             capsys,
@@ -205,6 +218,25 @@ class TestSeriesCommand:
         assert code == 0
         assert json.loads(out)["order"] == 6
 
+    def test_non_integer_order_environment(self, capsys, monkeypatch):
+        monkeypatch.setenv("QM_TRUNCATION_DEFAULT", "abc")
+        code, out, _ = run(
+            capsys,
+            "invariant", "-r", "2", "-d", "1", "-a", "1", "-w", "1", "-g", "2",
+            "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["value"] == "2"
+        code, out, err = run(capsys, "series", "--identity", "A", "--genus", "2")
+        assert code == 4
+        assert out == ""
+        assert "invalid int value: 'abc'" in err
+        code, out, _ = run(
+            capsys, "series", "--identity", "A", "--genus", "2", "--order", "3"
+        )
+        assert code == 0
+        assert "PASS" in out
+
     def test_invalid_order(self, capsys):
         code, _, _ = run(
             capsys, "series", "--identity", "A", "--genus", "2", "--order", "0"
@@ -238,6 +270,27 @@ class TestSweepCommand:
         )
         assert code == 0
         assert "0/0 agree" in out
+
+    def test_empty_genus_range(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", "3", "--g", "5..2"
+        )
+        assert code == 4
+        assert out == ""
+        assert err == "invalid input: empty genus range\n"
+
+    def test_out_in_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "sweep.jsonl"
+        code, out, err = run(
+            capsys,
+            "sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", "3", "--g", "2",
+            "--out", str(target),
+        )
+        assert code == 4
+        assert out.strip().endswith("3/3 agree")
+        assert err.startswith("invalid input: cannot write --out file:")
+        assert err.count("\n") == 1
+        assert not target.exists()
 
     def test_deterministic_order(self, capsys):
         _, first, _ = run(

@@ -19,7 +19,6 @@ from qminv.invariants import (
     qm_moduli,
     series_identity_even,
     series_identity_odd,
-    vafa_witten,
 )
 
 F = Fraction
@@ -117,9 +116,6 @@ class TestModuliSide:
         query = InvariantQuery(r=9, d=1, a=1, w=1, g=2)
         with pytest.raises(UnsupportedQueryError):
             qm_moduli(query)
-
-    def test_vafa_witten_alias(self):
-        assert vafa_witten is qm_moduli
 
     def test_gw_alias_odd_degree_only(self):
         assert gw_moduli(q2(1, 3)).value_t == qm_moduli(q2(1, 3)).value_t

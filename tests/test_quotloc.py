@@ -93,16 +93,15 @@ class TestSliceEuler:
         r, k = 3, 5
         decompositions = list(fixed_locus_decompositions(r, ChernClass(0, k)))
         assert len(decompositions) == comb(k + r - 1, r - 1)
-        for d in decompositions:
-            total = ChernClass(0, 0)
-            for part in d.parts:
-                total = total + part
-            assert total == ChernClass(0, k)
-            nonzero = [p for p in d.parts if not p.is_zero()]
-            if len(nonzero) == 1:
-                assert d.euler_contribution == nonzero[0].deg == k
-            else:
-                assert d.euler_contribution == 0
+        assert len(set(decompositions)) == len(decompositions)
+        for degs in decompositions:
+            assert len(degs) == r and min(degs) >= 0 and sum(degs) == k
+        # the r single-part decompositions are the only contributing ones,
+        # each contributing its one nonzero degree k
+        single = sorted(d for d in decompositions if d.count(0) == r - 1)
+        assert single == sorted(
+            tuple(k if i == j else 0 for i in range(r)) for j in range(r)
+        )
 
 
 class TestProjectiveSliceEuler:
