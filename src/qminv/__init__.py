@@ -45,16 +45,15 @@ from .invariants import (
     qm_moduli,
     series_identity_even,
     series_identity_odd,
+    unproven_reason,
 )
 from .quotloc import (
     DegenerateQuotientError,
     InvalidComponentError,
-    UnsupportedComponentError,
     WallComponent,
     component_residue_degree,
     fixed_locus_decompositions,
     normal_bundle_inverse_expansion,
-    projective_slice_euler,
     quot_dimension,
     slice_euler_bruteforce,
     stabilizer_order,
@@ -78,7 +77,6 @@ __all__ = [
     "ROUTE_CLOSED",
     "ROUTE_ORACLE",
     "SeriesIdentity",
-    "UnsupportedComponentError",
     "UnsupportedQueryError",
     "WallComponent",
     "ZLaurent",
@@ -92,7 +90,6 @@ __all__ = [
     "is_prime",
     "laurent_residue",
     "normal_bundle_inverse_expansion",
-    "projective_slice_euler",
     "qm_conjectural",
     "qm_constant_map",
     "qm_degree_zero",
@@ -108,6 +105,7 @@ __all__ = [
     "solve_base_degrees",
     "stabilizer_order",
     "torsion_order",
+    "unproven_reason",
     "wall_components",
     "__version__",
 ]

@@ -8,7 +8,8 @@ Subcommands:
 * ``selfcheck`` -- run the built-in property suites.
 
 Exit codes are the machine contract: 0 success, 2 route or identity
-disagreement, 3 unsupported query in strict mode, 4 invalid input.
+disagreement or internal cross-check failure, 3 unsupported query in
+strict mode, 4 invalid input.
 Rationals are printed exactly as "p/q" strings, never as decimals,
 unless an approximation is explicitly requested with --decimal.
 """
@@ -32,7 +33,6 @@ from .invariants import (
     series_identity_even,
     series_identity_odd,
 )
-from .quotloc import UnsupportedComponentError
 from .selfcheck import run_selfcheck
 
 EXIT_OK = 0
@@ -284,8 +284,8 @@ def _add_query_flags(parser, include_genus: bool = True) -> None:
 
 def _add_mode_flags(parser) -> None:
     mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--strict", action="store_true", default=True, help="reject unanalysed wall components (default)")
-    mode.add_argument("--permissive", action="store_true", help="apply the conjectural fallback to unanalysed components and flag the output")
+    mode.add_argument("--strict", action="store_true", default=True, help="reject queries outside the proven set (default)")
+    mode.add_argument("--permissive", action="store_true", help="evaluate queries outside the proven set and flag the output conjectural")
 
 
 def _add_output_flags(parser) -> None:
@@ -345,12 +345,15 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (UnsupportedComponentError, UnsupportedQueryError) as exc:
+    except UnsupportedQueryError as exc:
         print(f"unsupported query: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except RuntimeError as exc:
+        print(f"internal check failed: {exc}", file=sys.stderr)
+        return EXIT_DISAGREE
 
 
 if __name__ == "__main__":

@@ -3,8 +3,8 @@
 Positive-degree invariants are evaluated on two independent routes:
 
 * ``closed_form`` -- the divisor-sum formula (2g-2) * sum_{m|w} 1/m,
-  gated by the congruence w = d*a mod r and proven for rank 2 and for
-  prime ranks whose divisors all lie in {0, a} mod r;
+  gated by the congruence w = d*a mod r and proven for prime ranks
+  whose divisors all lie in {0, a} mod r (``unproven_reason``);
 * ``wall_crossing_oracle`` -- enumerate the Quot-scheme wall components,
   extract each z-residue, and sum the telescoped contributions.
 
@@ -38,7 +38,8 @@ class InvariantResult:
 
     value_t is the coefficient of t.  For the oracle route the breakdown
     lists each wall divisor's contribution and sums to value_t exactly.
-    conjectural is set iff any permissive-mode component entered the sum.
+    conjectural is set iff the query is outside the proven set
+    (``unproven_reason``) and was evaluated in permissive mode.
     """
 
     value_t: Fraction
@@ -52,14 +53,23 @@ def degree_congruent(query: InvariantQuery) -> bool:
     return (query.w - query.d * query.a) % query.r == 0
 
 
-def _closed_form_supported(query: InvariantQuery) -> bool:
-    """Rank 2, or prime rank with every divisor of w in {0, a} mod r."""
-    if query.r == 2:
-        return True
-    if not is_prime(query.r):
-        return False
-    a_mod = query.a % query.r
-    return all(m % query.r in (0, a_mod) for m in divisors(query.w))
+def unproven_reason(query: InvariantQuery) -> str | None:
+    """Why an elliptic-side query with w >= 1 is outside the proven set.
+
+    None when the query is proven: r is prime and every divisor of w is 0
+    or a mod r.  Every route and the conjectural formula share this one
+    decision; it ignores the congruence w = d*a mod r.
+    """
+    r, w = query.r, query.w
+    if not is_prime(r):
+        return f"no proven closed form for r={r}, w={w}: the rank {r} is not prime"
+    a_mod = query.a % r
+    if all(m % r in (0, a_mod) for m in divisors(w)):
+        return None
+    return (
+        f"no proven closed form for r={r}, w={w}: some divisor of w "
+        f"lies outside {{0, {query.a}}} mod {r}"
+    )
 
 
 def _divisor_sum(query: InvariantQuery, scale: Fraction, conjectural: bool) -> InvariantResult:
@@ -75,17 +85,14 @@ def qm_elliptic_closed(query: InvariantQuery) -> InvariantResult:
     """Elliptic-side invariant by the divisor-sum formula.
 
     (2g-2) * sum_{m|w} 1/m when w = d*a mod r, and 0 otherwise.  Only
-    proven for rank 2, or for prime rank when every divisor of w is 0 or
-    a mod r; other queries must go through the oracle or the conjectural
-    formula.
+    proven where ``unproven_reason`` returns None; other queries must go
+    through the permissive oracle or the conjectural formula.
     """
     if query.w < 1:
         raise ValueError("divisor-sum formula needs w >= 1; w = 0 is the constant-map case")
-    if not _closed_form_supported(query):
-        raise UnsupportedQueryError(
-            f"no proven closed form for r={query.r}, w={query.w}: some divisor of w "
-            f"lies outside {{0, {query.a}}} mod {query.r}"
-        )
+    reason = unproven_reason(query)
+    if reason is not None:
+        raise UnsupportedQueryError(reason)
     return _divisor_sum(query, Fraction(2 * query.g - 2), conjectural=False)
 
 
@@ -96,19 +103,23 @@ def qm_elliptic_oracle(query: InvariantQuery, strict: bool = True) -> InvariantR
     invariant telescopes into the sum of the wall components' residue
     degrees; the orientation is fixed so that (r,a)=(2,1), d=1, w=1, g=2
     gives +2.  When w != d*a mod r the moduli space is empty and the
-    invariant vanishes before any component is reached.
+    invariant vanishes before any component is reached.  Strict mode
+    rejects a query outside the proven set (``unproven_reason``);
+    permissive mode evaluates it and flags the result conjectural.
     """
     if query.w < 1:
         raise ValueError("the wall-crossing pipeline needs w >= 1")
+    reason = unproven_reason(query)
+    if strict and reason is not None:
+        raise UnsupportedQueryError(reason)
+    conjectural = reason is not None
     if not degree_congruent(query):
-        return InvariantResult(Fraction(0), (), ROUTE_ORACLE, False)
-    components = wall_components(query, strict=strict)
+        return InvariantResult(Fraction(0), (), ROUTE_ORACLE, conjectural)
     breakdown = tuple(
-        (c.divisor, component_residue_degree(c, query.g, strict=strict))
-        for c in components
+        (c.divisor, component_residue_degree(c, query.g))
+        for c in wall_components(query)
     )
     value = sum((contribution for _, contribution in breakdown), Fraction(0))
-    conjectural = any(c.conjectural for c in components)
     return InvariantResult(value, breakdown, ROUTE_ORACLE, conjectural)
 
 
@@ -182,13 +193,13 @@ def qm_conjectural(query: InvariantQuery) -> InvariantResult:
     """The conjectural all-rank moduli-side formula.
 
     (2g-2) * r^(2g) * sum_{m|w} 1/m under the congruence w = d*a mod r,
-    0 otherwise.  When the divisor hypothesis of the proven prime-rank
-    case holds the value is cross-checked against the oracle and returned
-    non-conjectural; otherwise it is flagged.
+    0 otherwise.  When the query is proven (``unproven_reason``) the value
+    is cross-checked against the oracle and returned non-conjectural;
+    otherwise it is flagged.
     """
     if query.w < 1:
         raise ValueError("the conjectural formula needs w >= 1")
-    proven = _closed_form_supported(query)
+    proven = unproven_reason(query) is None
     scale = Fraction(2 * query.g - 2) * Fraction(query.r) ** (2 * query.g)
     result = _divisor_sum(query, scale, conjectural=not proven)
     if proven:

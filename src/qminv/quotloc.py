@@ -12,9 +12,9 @@ Two quotient classes are fully analysed: u = (0, k), where the slice
 Euler characteristic is r*k and the stabilizer has order r^2 k^2, and
 u = (r-1, k), where the slice is a projective space of dimension
 dim - 1 = r(k-a) + a - 1 and the stabilizer has order dim^2.  Components
-outside these classes are never presented silently: strict mode rejects
-them, permissive mode applies the conjectural dim^2 fallback and flags
-the output.
+outside these classes carry ``supported=False`` and the conjectural dim^2
+fallback; whether a query may use them is decided once, by
+``invariants.unproven_reason``.
 """
 
 from __future__ import annotations
@@ -25,16 +25,19 @@ from itertools import combinations_with_replacement
 from operator import sub
 from typing import Iterator
 
-from .arith import ChernClass, DomainError, InvariantQuery, NormalizationError, divisors
+from .arith import (
+    ChernClass,
+    DomainError,
+    InvariantQuery,
+    NormalizationError,
+    divisors,
+    torsion_order,
+)
 from .exactalg import EquivCoeff, ZLaurent, laurent_residue
 
 
 class InvalidComponentError(ValueError):
     """Raised when a quotient class yields a negative dimension."""
-
-
-class UnsupportedComponentError(ValueError):
-    """Raised in strict mode for quotient ranks outside {0, r-1}."""
 
 
 class DegenerateQuotientError(ValueError):
@@ -55,26 +58,18 @@ def quot_dimension(r: int, a: int, u: ChernClass) -> int:
     return dim
 
 
-def stabilizer_order(r: int, a: int, u: ChernClass, strict: bool = True) -> int:
+def stabilizer_order(r: int, a: int, u: ChernClass) -> int:
     """Order of the finite subgroup fixing the slice of the Quot scheme.
 
-    dim^2 for u = (r-1, k); r^2 k^2 for u = (0, k).  Other quotient ranks
-    raise in strict mode; permissive mode falls back to dim^2, which the
-    caller must flag as conjectural.
+    |E[rk]| = r^2 k^2 for u = (0, k) and |E[dim]| = dim^2 otherwise; for
+    quotient ranks outside {0, r-1} the latter is the conjectural fallback.
     """
     dim = quot_dimension(r, a, u)
     if u.rank == 0:
         if u.deg < 1:
             raise DegenerateQuotientError("zero quotient class has no finite stabilizer")
-        return r * r * u.deg * u.deg
-    if u.rank == r - 1:
-        return dim * dim
-    if strict:
-        raise UnsupportedComponentError(
-            f"stabilizer not established for quotient rank {u.rank} "
-            f"(analysed ranks: 0 and {r - 1})"
-        )
-    return dim * dim
+        return torsion_order(r * u.deg)
+    return torsion_order(dim)
 
 
 def fixed_locus_decompositions(r: int, u: ChernClass) -> Iterator[tuple[int, ...]]:
@@ -113,21 +108,6 @@ def slice_euler_bruteforce(r: int, u: ChernClass) -> int:
     return total
 
 
-def projective_slice_euler(r: int, a: int, u: ChernClass) -> Fraction:
-    """Euler characteristic of the quotient stack slice for u = (r-1, k).
-
-    The slice is a projective space of dimension dim - 1 with Euler
-    characteristic dim, divided by a stabilizer of order dim^2: the result
-    is exactly 1/dim.
-    """
-    if u.rank != r - 1:
-        raise UnsupportedComponentError(
-            f"projective slice analysis needs quotient rank {r - 1}, got {u.rank}"
-        )
-    dim = quot_dimension(r, a, u)
-    return Fraction(dim, stabilizer_order(r, a, u))
-
-
 def normal_bundle_inverse_expansion(m: int, dim: int) -> ZLaurent:
     """Inverse equivariant Euler class of a component's virtual normal bundle.
 
@@ -153,7 +133,8 @@ class WallComponent:
 
     twist is the unique integer h with h*r - c1/m in [0, r-1]; the
     quotient class is h*(r, a) - (c1/m, ch2/m).  dim equals w/m for every
-    component.  conjectural marks permissive-mode fallback data.
+    component.  supported is False when the quotient rank is outside the
+    analysed classes {0, r-1} and the stabilizer is the dim^2 fallback.
     """
 
     divisor: int
@@ -163,10 +144,9 @@ class WallComponent:
     stab_order: int
     slice_euler: int
     supported: bool
-    conjectural: bool
 
 
-def wall_components(query: InvariantQuery, strict: bool = True) -> list[WallComponent]:
+def wall_components(query: InvariantQuery) -> list[WallComponent]:
     """Enumerate the wall components of a degree-w >= 1 query, one per m | w."""
     if query.w < 1:
         raise DomainError("wall components exist only for quasimap degree w >= 1")
@@ -187,14 +167,7 @@ def wall_components(query: InvariantQuery, strict: bool = True) -> list[WallComp
             raise InvalidComponentError(
                 f"component m={m} has dimension {dim}; expected >= 1 for w >= 1"
             )
-        supported = u_m.rank in (0, r - 1)
-        if strict and not supported:
-            raise UnsupportedComponentError(
-                f"component m={m} has quotient rank {u_m.rank} outside the "
-                f"analysed classes {{0, {r - 1}}}; rerun permissively to apply "
-                "the conjectural fallback"
-            )
-        stab = stabilizer_order(r, a, u_m, strict=False)
+        stab = stabilizer_order(r, a, u_m)
         euler = slice_euler_bruteforce(r, u_m) if u_m.rank == 0 else dim
         components.append(
             WallComponent(
@@ -204,16 +177,13 @@ def wall_components(query: InvariantQuery, strict: bool = True) -> list[WallComp
                 dim=dim,
                 stab_order=stab,
                 slice_euler=euler,
-                supported=supported,
-                conjectural=not supported,
+                supported=u_m.rank in (0, r - 1),
             )
         )
     return components
 
 
-def component_residue_degree(
-    component: WallComponent, genus: int, strict: bool = True
-) -> Fraction:
+def component_residue_degree(component: WallComponent, genus: int) -> Fraction:
     """Degree of a component's z-residue, as the coefficient of t.
 
     The component's virtual class is point-supported along the base
@@ -222,10 +192,6 @@ def component_residue_degree(
     ratio slice_euler / stab_order.  For both analysed classes the result
     collapses to (2g-2)/m.
     """
-    if strict and not component.supported:
-        raise UnsupportedComponentError(
-            f"component m={component.divisor} is outside the analysed classes"
-        )
     residue = laurent_residue(
         normal_bundle_inverse_expansion(component.divisor, component.dim)
     )

@@ -202,8 +202,12 @@ ALL_CHECKS = [
 
 
 def run_selfcheck() -> list[Check]:
+    """Run every check; one that raises is reported failed under its function name."""
     results = []
     for check in ALL_CHECKS:
-        name, ok, detail = check()
+        try:
+            name, ok, detail = check()
+        except Exception as exc:
+            name, ok, detail = check.__name__, False, f"{type(exc).__name__}: {exc}"
         results.append((name, ok, detail if not ok else ""))
     return results

@@ -3,7 +3,12 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 import qminv.cli as cli
+import qminv.quotloc as quotloc
+import qminv.selfcheck as selfcheck
+from qminv.exactalg import ZLaurent
 from qminv.invariants import InvariantResult, ROUTE_CLOSED
 
 
@@ -183,6 +188,84 @@ class TestExitCodes:
         assert code == 2
         assert "disagreement" in err
 
+    def test_unsupported_composite_rank(self, capsys):
+        # 1 = 5 = 1 mod 4, so the reason is the rank, not the divisors
+        for route in ("closed", "oracle", "both"):
+            code, out, err = run(
+                capsys,
+                "invariant", "-r", "4", "-d", "1", "-a", "1", "-w", "5", "-g", "2",
+                "--route", route,
+            )
+            assert (code, out) == (3, "")
+            assert err == (
+                "unsupported query: no proven closed form for r=4, w=5: "
+                "the rank 4 is not prime\n"
+            )
+
+    def test_unsupported_off_congruence(self, capsys):
+        # w = 5 != d*a mod 3: the moduli space is empty, but the query is
+        # still outside the proven set, on every route
+        for route in ("closed", "oracle"):
+            code, _, err = run(
+                capsys,
+                "invariant", "-r", "3", "-d", "0", "-a", "1", "-w", "5", "-g", "2",
+                "--route", route,
+            )
+            assert code == 3
+            assert "some divisor of w lies outside {0, 1} mod 3" in err
+
+    def test_internal_check_failure(self, capsys, monkeypatch):
+        def broken(r, u):
+            raise RuntimeError("fixed-locus enumeration gave 0")
+
+        monkeypatch.setattr(quotloc, "slice_euler_bruteforce", broken)
+        code, out, err = run(
+            capsys,
+            "invariant", "-r", "2", "-d", "0", "-a", "1", "-w", "6", "-g", "3",
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "internal check failed: fixed-locus enumeration gave 0\n"
+
+
+def _double_stabilizer(original):
+    return lambda r, a, u: 2 * original(r, a, u)
+
+
+def _negate_pole(original):
+    def perturbed(m, dim):
+        f = original(m, dim)
+        return ZLaurent({0: f.coefficient(0), -1: -f.coefficient(-1)})
+
+    return perturbed
+
+
+def _shift_slice_euler(original):
+    return lambda r, u: original(r, u) + 1
+
+
+class TestOracleCanDisagree:
+    """A wrong component formula must make ``--route both`` exit 2."""
+
+    @pytest.mark.parametrize(
+        "name, perturb, w, d",
+        [
+            ("stabilizer_order", _double_stabilizer, "3", "1"),
+            ("normal_bundle_inverse_expansion", _negate_pole, "3", "1"),
+            # w = 6 has a rank-0 component; at w = 3 the brute force never runs
+            ("slice_euler_bruteforce", _shift_slice_euler, "6", "0"),
+        ],
+    )
+    def test_perturbed_component_disagrees(self, capsys, monkeypatch, name, perturb, w, d):
+        monkeypatch.setattr(quotloc, name, perturb(getattr(quotloc, name)))
+        code, _, err = run(
+            capsys,
+            "invariant", "-r", "2", "-d", d, "-a", "1", "-w", w, "-g", "3",
+            "--route", "both",
+        )
+        assert code == 2
+        assert err.startswith("route disagreement: ")
+
 
 class TestSeriesCommand:
     def test_identity_a(self, capsys):
@@ -312,3 +395,17 @@ class TestSelfcheckCommand:
         assert code == 0
         assert "12/12 checks passed" in out
         assert "FAIL" not in out
+
+    def test_crashing_check_is_reported(self, capsys, monkeypatch):
+        def _check_divides_by_zero():
+            return ("never reported", 1 // 0 == 0, "")
+
+        checks = list(selfcheck.ALL_CHECKS)
+        monkeypatch.setattr(selfcheck, "ALL_CHECKS", [checks[0], _check_divides_by_zero, checks[-1]])
+        code, out, _ = run(capsys, "selfcheck")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[0].startswith("ok ")
+        assert lines[1] == "FAIL _check_divides_by_zero  ZeroDivisionError: integer division or modulo by zero"
+        assert lines[2].startswith("ok ")
+        assert lines[3] == "2/3 checks passed"

@@ -74,6 +74,13 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
     "invariant_exit3_moduli": (
         ["invariant", "-r", "4", "-d", "1", "-a", "1", "-w", "1", "-g", "2", "--side", "moduli",
          "--route", "closed"], {}),
+    "invariant_exit3_composite_oracle": (
+        ["invariant", "-r", "4", "-d", "1", "-a", "1", "-w", "5", "-g", "2", "--route", "oracle"], {}),
+    "invariant_composite_permissive_json": (
+        ["invariant", "-r", "4", "-d", "1", "-a", "1", "-w", "5", "-g", "2", "--route", "oracle",
+         "--permissive", "--format", "json"], {}),
+    "invariant_exit3_composite_closed": (
+        ["invariant", "-r", "4", "-d", "1", "-a", "1", "-w", "5", "-g", "2", "--route", "closed"], {}),
     "invariant_exit4_negative_w": (INV[:8] + ["-3", "-g", "2"], {}),
     "invariant_exit4_bad_a": (
         ["invariant", "-r", "4", "-d", "1", "-a", "2", "-w", "1", "-g", "2"], {}),

@@ -6,16 +6,15 @@ from math import comb
 
 import pytest
 
-from qminv.arith import ChernClass, DomainError, InvariantQuery
+from qminv.arith import ChernClass, DomainError, InvariantQuery, canonical_u_choice
 from qminv.exactalg import EquivCoeff, laurent_residue
+from qminv.invariants import UnsupportedQueryError, qm_elliptic_oracle
 from qminv.quotloc import (
     DegenerateQuotientError,
     InvalidComponentError,
-    UnsupportedComponentError,
     component_residue_degree,
     fixed_locus_decompositions,
     normal_bundle_inverse_expansion,
-    projective_slice_euler,
     quot_dimension,
     slice_euler_bruteforce,
     stabilizer_order,
@@ -64,12 +63,17 @@ class TestStabilizerOrder:
         assert stabilizer_order(r, a, u) == expected
 
     def test_unsupported_rank_strict(self):
-        with pytest.raises(UnsupportedComponentError):
-            stabilizer_order(5, 2, ChernClass(2, 1))
+        # r=5, a=2, d=3, w=1: the only component is u = (2, 1), outside
+        # {0, 4}; strict mode rejects the query, not the component
+        query = InvariantQuery(r=5, d=3, a=2, w=1, g=2, u_choice=canonical_u_choice(5, 2))
+        [component] = wall_components(query)
+        assert component.quotient_class == ChernClass(2, 1) and not component.supported
+        with pytest.raises(UnsupportedQueryError, match="outside \\{0, 2\\} mod 5"):
+            qm_elliptic_oracle(query)
 
     def test_unsupported_rank_permissive_fallback(self):
         dim = quot_dimension(5, 2, ChernClass(2, 1))
-        assert stabilizer_order(5, 2, ChernClass(2, 1), strict=False) == dim * dim
+        assert stabilizer_order(5, 2, ChernClass(2, 1)) == dim * dim
 
     def test_degenerate_quotient(self):
         with pytest.raises(DegenerateQuotientError):
@@ -114,11 +118,10 @@ class TestProjectiveSliceEuler:
         ],
     )
     def test_examples(self, r, a, u, expected):
-        assert projective_slice_euler(r, a, u) == expected
-
-    def test_needs_corank_one(self):
-        with pytest.raises(UnsupportedComponentError):
-            projective_slice_euler(3, 1, ChernClass(0, 2))
+        # for u = (r-1, k) the slice is P^(dim-1), Euler characteristic dim,
+        # over a stabilizer of order dim^2: exactly 1/dim
+        dim = quot_dimension(r, a, u)
+        assert F(dim, stabilizer_order(r, a, u)) == expected == F(1, dim)
 
 
 class TestNormalBundleExpansion:
@@ -178,11 +181,12 @@ class TestWallComponents:
         # w = 5 at rank 3: the m = 1 component has quotient rank 1,
         # outside {0, 2}; the m = 5 component is corank one and fine
         query = InvariantQuery(r=3, d=2, a=1, w=5, g=2)
-        with pytest.raises(UnsupportedComponentError):
-            wall_components(query)
-        comps = wall_components(query, strict=False)
-        assert [(c.divisor, c.conjectural) for c in comps] == [(1, True), (5, False)]
+        comps = wall_components(query)
+        assert [(c.divisor, c.supported) for c in comps] == [(1, False), (5, True)]
         assert all(c.stab_order == c.dim**2 for c in comps)
+        with pytest.raises(UnsupportedQueryError):
+            qm_elliptic_oracle(query)
+        assert qm_elliptic_oracle(query, strict=False).conjectural
 
     def test_rank_two_odd_degree_component_shape(self):
         for w in range(1, 100, 2):
@@ -199,7 +203,22 @@ class TestWallComponents:
                 assert c.dim == w // c.divisor
                 assert c.stab_order == c.dim**2
                 assert c.dim * F(c.slice_euler, c.stab_order) == 1
-                assert c.supported and not c.conjectural
+                assert c.supported
+
+    def test_component_ledger_rank_three(self):
+        # w = 3^j * 7^i has every divisor in {0, 1} mod 3, so every
+        # component is analysed; both quotient ranks 0 and 2 occur
+        ranks = set()
+        for w in (1, 3, 7, 9, 21, 27, 49, 63, 81):
+            for d in (0, 1, 2):
+                query = InvariantQuery(r=3, d=d, a=1, w=w, g=2)
+                for c in wall_components(query):
+                    ranks.add(c.quotient_class.rank)
+                    assert c.supported
+                    assert c.dim == w // c.divisor
+                    assert c.stab_order == c.dim**2
+                    assert c.dim * F(c.slice_euler, c.stab_order) == 1
+        assert ranks == {0, 2}
 
 
 class TestComponentResidueDegree:
@@ -217,13 +236,14 @@ class TestComponentResidueDegree:
         assert component_residue_degree(comps2[2], 3) == F(2)
 
     def test_strict_rejects_conjectural_component(self):
-        comps = wall_components(InvariantQuery(r=3, d=2, a=1, w=5, g=2), strict=False)
-        unsupported = next(c for c in comps if not c.supported)
-        with pytest.raises(UnsupportedComponentError):
-            component_residue_degree(unsupported, 2)
-        assert component_residue_degree(unsupported, 2, strict=False) == F(
-            2, unsupported.divisor
-        )
+        query = InvariantQuery(r=3, d=2, a=1, w=5, g=2)
+        unsupported = next(c for c in wall_components(query) if not c.supported)
+        assert component_residue_degree(unsupported, 2) == F(2, unsupported.divisor)
+        with pytest.raises(UnsupportedQueryError):
+            qm_elliptic_oracle(query)
+        permissive = qm_elliptic_oracle(query, strict=False)
+        assert permissive.conjectural
+        assert (unsupported.divisor, F(2, unsupported.divisor)) in permissive.breakdown
 
     def test_residue_pipeline_matches_omega_pairing(self):
         # The omega slot of the residue, paired against the base curve and
