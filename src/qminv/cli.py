@@ -4,8 +4,13 @@ Subcommands:
 
 * ``invariant`` -- evaluate one invariant, optionally on both routes.
 * ``series``    -- verify a generating-series identity to a truncation.
-* ``sweep``     -- compare oracle and closed form over a (w, g) grid.
+* ``sweep``     -- compare oracle and closed form over a (w, g) grid,
+  printing each point as it is computed.
 * ``selfcheck`` -- run the built-in property suites.
+
+``--permissive`` reaches both routes: an unproven query is evaluated and
+flagged conjectural.  In strict mode (the default) it exits 3, and a
+``sweep`` keeps on stdout the points before it.
 
 Exit codes are the machine contract: 0 success, 2 route or identity
 disagreement or internal cross-check failure, 3 unsupported query in
@@ -82,9 +87,8 @@ def _u_choice(args):
 def _result_for(query: InvariantQuery, route: str, side: str, strict: bool):
     if side == "moduli":
         return qm_moduli(query, route=route, strict=strict)
-    if route == ROUTE_CLOSED:
-        return qm_elliptic_closed(query)
-    return qm_elliptic_oracle(query, strict=strict)
+    elliptic = qm_elliptic_closed if route == ROUTE_CLOSED else qm_elliptic_oracle
+    return elliptic(query, strict=strict)
 
 
 def _cmd_invariant(args) -> int:
@@ -144,7 +148,10 @@ def _invariant_payload(query, args, result, route_label, checks, routes_payload)
     if checks:
         payload["identity_checks"] = checks
     if args.decimal:
-        payload["approx"] = float(result.value_t)
+        try:
+            payload["approx"] = float(result.value_t)
+        except OverflowError:
+            raise ValueError("--decimal: value is too large for a float approximation") from None
     if args.raw:
         payload["raw"] = f"({result.value_t})*t"
 
@@ -227,35 +234,35 @@ def _cmd_sweep(args) -> int:
             query = InvariantQuery(
                 r=args.rank, d=args.deg_d, a=args.deg_a, w=w, g=g, u_choice=u
             )
-            closed = qm_elliptic_closed(query)
+            closed = qm_elliptic_closed(query, strict=strict)
             oracle = qm_elliptic_oracle(query, strict=strict)
             point_agree = closed.value_t == oracle.value_t
             total += 1
             agree += point_agree
             conjectural += oracle.conjectural
-            records.append(
-                {
-                    "query": {"r": query.r, "d": query.d, "a": query.a, "w": w, "g": g},
-                    "closed": str(closed.value_t),
-                    "oracle": str(oracle.value_t),
-                    "agree": point_agree,
-                    "conjectural": oracle.conjectural,
-                }
-            )
+            record = {
+                "query": {"r": query.r, "d": query.d, "a": query.a, "w": w, "g": g},
+                "closed": str(closed.value_t),
+                "oracle": str(oracle.value_t),
+                "agree": point_agree,
+                "conjectural": oracle.conjectural,
+            }
+            if args.format == "json":
+                print(json.dumps(record), flush=True)
+            else:
+                print(
+                    f"g={g} w={w} closed={record['closed']} oracle={record['oracle']} "
+                    f"{'agree' if point_agree else 'DISAGREE'}"
+                    f"{' conjectural' if oracle.conjectural else ''}",
+                    flush=True,
+                )
+            if args.out:
+                records.append(record)
     summary = {"total": total, "agree": agree, "conjectural": conjectural}
     if args.format == "json":
-        for record in records:
-            print(json.dumps(record))
         print(json.dumps({"summary": summary}))
     else:
-        for record in records:
-            q = record["query"]
-            flag = "agree" if record["agree"] else "DISAGREE"
-            print(
-                f"g={q['g']} w={q['w']} closed={record['closed']} "
-                f"oracle={record['oracle']} {flag}"
-            )
-        print(f"{agree}/{total} agree")
+        print(f"{agree}/{total} agree" + (f", {conjectural} conjectural" if conjectural else ""))
     if args.out:
         _write_out(args.out, records + [{"summary": summary}])
     return EXIT_OK if agree == total else EXIT_DISAGREE

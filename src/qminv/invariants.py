@@ -3,10 +3,13 @@
 Positive-degree invariants are evaluated on two independent routes:
 
 * ``closed_form`` -- the divisor-sum formula (2g-2) * sum_{m|w} 1/m,
-  gated by the congruence w = d*a mod r and proven for prime ranks
-  whose divisors all lie in {0, a} mod r (``unproven_reason``);
+  gated by the congruence w = d*a mod r;
 * ``wall_crossing_oracle`` -- enumerate the Quot-scheme wall components,
   extract each z-residue, and sum the telescoped contributions.
+
+Both are proven only where ``unproven_reason`` returns None.  Outside
+that set both raise ``UnsupportedQueryError`` when ``strict`` (the
+default) and otherwise evaluate and flag the result conjectural.
 
 All reported values are reduced, i.e. the coefficient of the equivariant
 parameter t (the CLI's ``--raw`` prints that coefficient times t).  The
@@ -72,28 +75,25 @@ def unproven_reason(query: InvariantQuery) -> str | None:
     )
 
 
-def _divisor_sum(query: InvariantQuery, scale: Fraction, conjectural: bool) -> InvariantResult:
-    """scale * sum_{m|w} 1/m under the congruence w = d*a mod r, else 0."""
-    if not degree_congruent(query):
-        return InvariantResult(Fraction(0), (), ROUTE_CLOSED, conjectural)
-    breakdown = tuple((m, scale / m) for m in divisors(query.w))
-    value = sum((c for _, c in breakdown), Fraction(0))
-    return InvariantResult(value, breakdown, ROUTE_CLOSED, conjectural)
-
-
-def qm_elliptic_closed(query: InvariantQuery) -> InvariantResult:
+def qm_elliptic_closed(query: InvariantQuery, strict: bool = True) -> InvariantResult:
     """Elliptic-side invariant by the divisor-sum formula.
 
-    (2g-2) * sum_{m|w} 1/m when w = d*a mod r, and 0 otherwise.  Only
-    proven where ``unproven_reason`` returns None; other queries must go
-    through the permissive oracle or the conjectural formula.
+    (2g-2) * sum_{m|w} 1/m when w = d*a mod r, and 0 otherwise.  Strict
+    mode rejects a query outside the proven set (``unproven_reason``);
+    permissive mode evaluates the same sum and flags it conjectural.
     """
     if query.w < 1:
         raise ValueError("divisor-sum formula needs w >= 1; w = 0 is the constant-map case")
     reason = unproven_reason(query)
-    if reason is not None:
+    if strict and reason is not None:
         raise UnsupportedQueryError(reason)
-    return _divisor_sum(query, Fraction(2 * query.g - 2), conjectural=False)
+    conjectural = reason is not None
+    if not degree_congruent(query):
+        return InvariantResult(Fraction(0), (), ROUTE_CLOSED, conjectural)
+    scale = Fraction(2 * query.g - 2)
+    breakdown = tuple((m, scale / m) for m in divisors(query.w))
+    value = sum((c for _, c in breakdown), Fraction(0))
+    return InvariantResult(value, breakdown, ROUTE_CLOSED, conjectural)
 
 
 def qm_elliptic_oracle(query: InvariantQuery, strict: bool = True) -> InvariantResult:
@@ -103,9 +103,8 @@ def qm_elliptic_oracle(query: InvariantQuery, strict: bool = True) -> InvariantR
     invariant telescopes into the sum of the wall components' residue
     degrees; the orientation is fixed so that (r,a)=(2,1), d=1, w=1, g=2
     gives +2.  When w != d*a mod r the moduli space is empty and the
-    invariant vanishes before any component is reached.  Strict mode
-    rejects a query outside the proven set (``unproven_reason``);
-    permissive mode evaluates it and flags the result conjectural.
+    invariant vanishes before any component is reached.  ``strict`` has
+    the closed form's meaning.
     """
     if query.w < 1:
         raise ValueError("the wall-crossing pipeline needs w >= 1")
@@ -123,6 +122,13 @@ def qm_elliptic_oracle(query: InvariantQuery, strict: bool = True) -> InvariantR
     return InvariantResult(value, breakdown, ROUTE_ORACLE, conjectural)
 
 
+def _moduli_scaled(query: InvariantQuery, base: InvariantResult) -> InvariantResult:
+    """An elliptic-side result times r^(2g), breakdown included."""
+    factor = Fraction(query.r) ** (2 * query.g)
+    breakdown = tuple((m, c * factor) for m, c in base.breakdown)
+    return InvariantResult(base.value_t * factor, breakdown, base.route, base.conjectural)
+
+
 def qm_moduli(
     query: InvariantQuery, route: str = ROUTE_CLOSED, strict: bool = True
 ) -> InvariantResult:
@@ -135,19 +141,10 @@ def qm_moduli(
         raise UnsupportedQueryError(
             f"moduli-side correspondence needs a prime rank, got {query.r}"
         )
-    if route == ROUTE_CLOSED:
-        base = qm_elliptic_closed(query)
-    elif route == ROUTE_ORACLE:
-        base = qm_elliptic_oracle(query, strict=strict)
-    else:
+    if route not in (ROUTE_CLOSED, ROUTE_ORACLE):
         raise ValueError(f"unknown route {route!r}")
-    factor = Fraction(query.r) ** (2 * query.g)
-    return InvariantResult(
-        base.value_t * factor,
-        tuple((m, c * factor) for m, c in base.breakdown),
-        base.route,
-        base.conjectural,
-    )
+    elliptic = qm_elliptic_closed if route == ROUTE_CLOSED else qm_elliptic_oracle
+    return _moduli_scaled(query, elliptic(query, strict=strict))
 
 
 def gw_moduli(
@@ -183,26 +180,19 @@ def qm_degree_zero(query: InvariantQuery) -> InvariantResult:
     """
     if query.w != 0:
         raise ValueError("qm_degree_zero expects w = 0")
-    if (query.d * query.a) % query.r != 0:
-        return InvariantResult(Fraction(0), (), ROUTE_CLOSED, False)
-    value = qm_constant_map(query.r, query.a, query.g)
+    value = qm_constant_map(query.r, query.a, query.g) if degree_congruent(query) else Fraction(0)
     return InvariantResult(value, (), ROUTE_CLOSED, False)
 
 
 def qm_conjectural(query: InvariantQuery) -> InvariantResult:
     """The conjectural all-rank moduli-side formula.
 
-    (2g-2) * r^(2g) * sum_{m|w} 1/m under the congruence w = d*a mod r,
-    0 otherwise.  When the query is proven (``unproven_reason``) the value
-    is cross-checked against the oracle and returned non-conjectural;
-    otherwise it is flagged.
+    The permissive closed form times r^(2g), for every rank.  A proven
+    query (``unproven_reason``) is cross-checked against the oracle and
+    comes back non-conjectural; any other is flagged.
     """
-    if query.w < 1:
-        raise ValueError("the conjectural formula needs w >= 1")
-    proven = unproven_reason(query) is None
-    scale = Fraction(2 * query.g - 2) * Fraction(query.r) ** (2 * query.g)
-    result = _divisor_sum(query, scale, conjectural=not proven)
-    if proven:
+    result = _moduli_scaled(query, qm_elliptic_closed(query, strict=False))
+    if not result.conjectural:
         oracle = qm_moduli(query, route=ROUTE_ORACLE, strict=True)
         if oracle.value_t != result.value_t:
             raise RuntimeError(

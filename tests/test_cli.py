@@ -98,6 +98,18 @@ class TestInvariantCommand:
         assert record["value"] == "8/3"
         assert abs(record["approx"] - 8 / 3) < 1e-12
 
+    def test_decimal_too_large_for_float(self, capsys):
+        # 7^400 * 16/7 overflows a float; the exact value is still fine
+        code, out, err = run(
+            capsys,
+            "invariant", "-r", "7", "-d", "0", "-a", "1", "-w", "7", "-g", "200",
+            "--side", "moduli", "--decimal",
+        )
+        assert (code, out) == (4, "")
+        assert err == (
+            "invalid input: --decimal: value is too large for a float approximation\n"
+        )
+
     def test_raw_flag(self, capsys):
         _, out, _ = run(
             capsys,
@@ -175,8 +187,30 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["conjectural"] is True
 
+    @pytest.mark.parametrize(
+        "route, side",
+        [("closed", "elliptic"), ("both", "elliptic"), ("closed", "moduli"), ("both", "moduli")],
+    )
+    def test_permissive_reaches_every_route(self, capsys, route, side):
+        argv = [
+            "invariant", "-r", "3", "-d", "2", "-a", "1", "-w", "5", "-g", "2",
+            "--route", route, "--side", side, "--format", "json",
+        ]
+        code, _, strict_err = run(capsys, *argv)
+        assert code == 3
+        assert strict_err == (
+            "unsupported query: no proven closed form for r=3, w=5: "
+            "some divisor of w lies outside {0, 1} mod 3\n"
+        )
+        code, out, _ = run(capsys, *argv, "--permissive")
+        record = json.loads(out)
+        assert code == 0
+        assert record["conjectural"] is True
+        factor = 3 ** 4 if side == "moduli" else 1
+        assert Fraction(record["value"]) == Fraction(12, 5) * factor
+
     def test_route_disagreement(self, capsys, monkeypatch):
-        def fake_closed(query):
+        def fake_closed(query, strict=True):
             return InvariantResult(Fraction(999), (), ROUTE_CLOSED, False)
 
         monkeypatch.setattr(cli, "qm_elliptic_closed", fake_closed)
@@ -373,6 +407,30 @@ class TestSweepCommand:
         assert out.strip().endswith("3/3 agree")
         assert err.startswith("invalid input: cannot write --out file:")
         assert err.count("\n") == 1
+        assert not target.exists()
+
+    def test_permissive_flags_each_point(self, capsys):
+        code, out, _ = run(
+            capsys,
+            "sweep", "-r", "3", "-d", "2", "-a", "1", "--w-list", "1,2,5", "--g", "2",
+            "--permissive", "--format", "json",
+        )
+        lines = [json.loads(line) for line in out.strip().splitlines()]
+        assert code == 0
+        # w=1 is proven; 2 and 5 are not (2 = 5 = 2 mod 3)
+        assert [record["conjectural"] for record in lines[:-1]] == [False, True, True]
+        assert lines[-1] == {"summary": {"total": 3, "agree": 3, "conjectural": 2}}
+
+    def test_strict_stop_keeps_earlier_points(self, capsys, tmp_path):
+        target = tmp_path / "sweep.jsonl"
+        code, out, err = run(
+            capsys,
+            "sweep", "-r", "3", "-d", "1", "-a", "1", "--w-list", "1,4,7", "--g", "2",
+            "--format", "json", "--out", str(target),
+        )
+        assert code == 3
+        assert [json.loads(line)["query"]["w"] for line in out.splitlines()] == [1]
+        assert err.startswith("unsupported query: no proven closed form for r=3, w=4:")
         assert not target.exists()
 
     def test_deterministic_order(self, capsys):

@@ -66,6 +66,12 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
     "invariant_permissive_json": (
         ["invariant", "-r", "3", "-d", "2", "-a", "1", "-w", "5", "-g", "2", "--route", "oracle",
          "--permissive", "--format", "json"], {}),
+    "invariant_both_permissive_json": (
+        ["invariant", "-r", "3", "-d", "2", "-a", "1", "-w", "5", "-g", "2", "--permissive",
+         "--format", "json"], {}),
+    "invariant_closed_permissive_table": (
+        ["invariant", "-r", "3", "-d", "2", "-a", "1", "-w", "5", "-g", "2", "--route", "closed",
+         "--permissive"], {}),
     "invariant_out_file": (INV + ["--decimal", "--out", "OUT"], {}),
     "invariant_exit3_oracle": (
         ["invariant", "-r", "3", "-d", "2", "-a", "1", "-w", "5", "-g", "2", "--route", "oracle"], {}),
@@ -106,11 +112,16 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
         ["sweep", "-r", "3", "-d", "1", "-a", "2", "--w-list", "2,3,6", "--g", "3"], {}),
     "sweep_permissive_table": (
         ["sweep", "-r", "3", "-d", "2", "-a", "1", "--w-list", "2,5", "--g", "2", "--permissive"], {}),
+    "sweep_permissive_json": (
+        ["sweep", "-r", "3", "-d", "2", "-a", "1", "--w-list", "2,5", "--g", "2", "--permissive",
+         "--format", "json"], {}),
     "sweep_out_file": (
         ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", "3", "--g", "2", "--out", "OUT"], {}),
     "sweep_empty_w_max": (["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", "0", "--g", "2"], {}),
     "sweep_exit3_strict": (
         ["sweep", "-r", "3", "-d", "2", "-a", "1", "--w-list", "5", "--g", "2"], {}),
+    "sweep_exit3_strict_partial": (
+        ["sweep", "-r", "3", "-d", "1", "-a", "1", "--w-list", "1,4", "--g", "2"], {}),
     "sweep_exit4_usage": (["sweep", "-r", "2", "-d", "1", "-a", "1", "--g", "2"], {}),
     "selfcheck": (["selfcheck"], {}),
 }

@@ -1,16 +1,25 @@
-"""One proven/unproven decision shared by every elliptic-side route."""
+"""One proven/unproven decision, and one strict switch, on every route."""
 
+import contextlib
+import io
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
-from qminv.arith import ChernClass, InvariantQuery, canonical_u_choice
+import qminv.cli as cli
+from qminv.arith import ChernClass, InvariantQuery, canonical_u_choice, is_prime, sigma_minus_one
+from qminv.exactalg import series_log_product
 from qminv.invariants import (
+    ROUTE_CLOSED,
+    ROUTE_ORACLE,
     UnsupportedQueryError,
+    degree_congruent,
     qm_conjectural,
     qm_elliptic_closed,
     qm_elliptic_oracle,
+    qm_moduli,
     unproven_reason,
 )
 from qminv.quotloc import wall_components
@@ -18,6 +27,7 @@ from qminv.quotloc import wall_components
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 given, example, settings = hypothesis.given, hypothesis.example, hypothesis.settings
+assume = hypothesis.assume
 
 
 @st.composite
@@ -36,12 +46,13 @@ def queries(draw):
     )
 
 
-def _raised(route, query):
+def _outcome(route, query, **kwargs):
+    """The error message a route raises, or its (value_t, conjectural)."""
     try:
-        route(query)
+        result = route(query, **kwargs)
     except UnsupportedQueryError as exc:
         return str(exc)
-    return None
+    return result.value_t, result.conjectural
 
 
 COMPOSITE = InvariantQuery(r=4, d=1, a=1, w=5, g=2)
@@ -51,12 +62,20 @@ property_settings = settings(derandomize=True, deadline=None, max_examples=150)
 
 
 @property_settings
-@given(queries())
-@example(COMPOSITE)
-@example(OFF_CONGRUENCE)
-def test_strict_oracle_raises_iff_closed_form_raises(query):
-    closed = _raised(qm_elliptic_closed, query)
-    assert _raised(qm_elliptic_oracle, query) == closed == unproven_reason(query)
+@given(queries(), st.booleans())
+@example(COMPOSITE, True)
+@example(OFF_CONGRUENCE, True)
+@example(COMPOSITE, False)
+@example(OFF_CONGRUENCE, False)
+def test_strict_oracle_raises_iff_closed_form_raises(query, strict):
+    """Both routes take one switch: the same error, or equal value and flag."""
+    closed = _outcome(qm_elliptic_closed, query, strict=strict)
+    assert _outcome(qm_elliptic_oracle, query, strict=strict) == closed
+    reason = unproven_reason(query)
+    if strict and reason is not None:
+        assert closed == reason
+    else:
+        assert closed[1] == (reason is not None)
 
 
 @property_settings
@@ -82,6 +101,73 @@ def test_proven_queries_agree_exactly(query):
 @example(COMPOSITE)
 def test_conjectural_flag_is_the_shared_decision(query):
     assert qm_conjectural(query).conjectural == (unproven_reason(query) is not None)
+
+
+@property_settings
+@given(queries())
+@example(OFF_CONGRUENCE)
+def test_off_congruence_is_zero_on_both_routes(query):
+    assume(not degree_congruent(query))
+    for route in (qm_elliptic_closed, qm_elliptic_oracle):
+        result = route(query, strict=False)
+        assert result.value_t == 0 and result.breakdown == ()
+
+
+@property_settings
+@given(queries(), st.sampled_from([ROUTE_CLOSED, ROUTE_ORACLE]), st.booleans())
+@example(InvariantQuery(r=3, d=2, a=1, w=5, g=2), ROUTE_CLOSED, False)
+def test_moduli_side_is_r_to_the_2g_times_elliptic(query, route, strict):
+    if not is_prime(query.r):
+        with pytest.raises(UnsupportedQueryError, match="prime rank"):
+            qm_moduli(query, route=route, strict=strict)
+        return
+    elliptic_route = qm_elliptic_closed if route == ROUTE_CLOSED else qm_elliptic_oracle
+    try:
+        elliptic = elliptic_route(query, strict=strict)
+    except UnsupportedQueryError as exc:
+        with pytest.raises(UnsupportedQueryError, match=str(exc)):
+            qm_moduli(query, route=route, strict=strict)
+        return
+    moduli = qm_moduli(query, route=route, strict=strict)
+    factor = query.r ** (2 * query.g)
+    assert moduli.value_t == factor * elliptic.value_t
+    assert moduli.breakdown == tuple((m, factor * c) for m, c in elliptic.breakdown)
+    assert moduli.conjectural == elliptic.conjectural
+
+
+@property_settings
+@given(queries(), st.sampled_from(["elliptic", "moduli"]))
+def test_json_values_round_trip_through_fraction(query, side):
+    assume(side == "elliptic" or is_prime(query.r))
+    argv = [
+        "invariant", "-r", str(query.r), "-d", str(query.d), "-a", str(query.a),
+        "-w", str(query.w), "-g", str(query.g), "--side", side,
+        "--permissive", "--format", "json",
+    ]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert cli.main(argv) == 0
+    record = json.loads(stdout.getvalue())
+    expected = (
+        qm_moduli(query, strict=False) if side == "moduli"
+        else qm_elliptic_closed(query, strict=False)
+    )
+    assert Fraction(record["value"]) == expected.value_t
+    for route in record["routes"].values():
+        assert Fraction(route["value"]) == expected.value_t
+        assert [(e["m"], Fraction(e["contribution"])) for e in route["breakdown"]] == list(
+            expected.breakdown
+        )
+
+
+def test_divisor_sums_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    order = 300
+    eta_log = series_log_product(order)
+    for w in range(1, order + 1):
+        sigma = Fraction(int(sympy.divisor_sigma(w)), w)
+        assert sigma_minus_one(w) == sigma
+        assert eta_log.coefficient(w) == -sigma
 
 
 class TestUnprovenReason:
