@@ -16,7 +16,9 @@ point is used anywhere.  Three small coefficient rings live here:
   residue is the ``z**-1`` entry.
 
 Values are coerced to ``Fraction`` once, on entry; arithmetic on
-``Fraction`` coefficients never coerces its own results again.
+``Fraction`` coefficients never coerces its own results again.  Zero
+slots are passed through without arithmetic: a sum, product or scaling
+builds a new ``Fraction`` only where a nonzero value needs one.
 """
 
 from __future__ import annotations
@@ -151,15 +153,17 @@ def series_log_product(order: int) -> QSeries:
     """log of the Euler product prod_{k>=1} (1 - q**k), truncated at q**order.
 
     Expanded termwise: log(1 - q**k) = -sum_j q**(k*j) / j, so the
-    coefficient of q**w is -sum_{m | w} 1/m.  The constant term is 0.
+    coefficient of q**w is -sum_{m | w} 1/m = -sigma_1(w) / w.  The loop
+    sums the integers sigma_1(w) (the term 1/j of q**(k*j) is k/w) and
+    builds one ``Fraction`` per coefficient.  The constant term is 0.
     """
     if order < 1:
         raise InvalidTruncationError("truncation order must be >= 1")
-    coeffs = [Fraction(0)] * (order + 1)
+    sigma = [0] * (order + 1)
     for k in range(1, order + 1):
         for j in range(1, order // k + 1):
-            coeffs[k * j] -= Fraction(1, j)
-    return QSeries(tuple(coeffs))
+            sigma[k * j] += k
+    return QSeries((_ZERO, *(Fraction(-sigma[w], w) for w in range(1, order + 1))))
 
 
 def _as_tpoly(value) -> tuple[Fraction, ...]:
@@ -167,6 +171,14 @@ def _as_tpoly(value) -> tuple[Fraction, ...]:
         value = (value,)
     poly = tuple(map(_as_fraction, value[: T_CAP + 1]))
     return poly + (_ZERO,) * (T_CAP + 1 - len(poly))
+
+
+def _tpoly_add(a, b) -> tuple[Fraction, ...]:
+    return tuple(x + y if x and y else x or y for x, y in zip(a, b))
+
+
+def _tpoly_scale(c: Fraction, poly) -> tuple[Fraction, ...]:
+    return tuple(c * v if v else v for v in poly)
 
 
 def _tpoly_mul(a, b) -> tuple[Fraction, ...]:
@@ -210,7 +222,7 @@ class EquivCoeff:
 
     @classmethod
     def one(cls) -> "EquivCoeff":
-        return cls((1,))
+        return _ONE
 
     @classmethod
     def from_scalar(cls, value) -> "EquivCoeff":
@@ -218,33 +230,36 @@ class EquivCoeff:
 
     @classmethod
     def t(cls) -> "EquivCoeff":
-        return cls((0, 1))
+        return _T
 
     @classmethod
     def omega(cls) -> "EquivCoeff":
-        return cls((), (1,))
+        return _OMEGA
 
     def __add__(self, other: "EquivCoeff") -> "EquivCoeff":
         return EquivCoeff._of(
-            tuple(a + b for a, b in zip(self.scalar, other.scalar)),
-            tuple(a + b for a, b in zip(self.omega_part, other.omega_part)),
+            _tpoly_add(self.scalar, other.scalar),
+            _tpoly_add(self.omega_part, other.omega_part),
         )
 
     def __sub__(self, other: "EquivCoeff") -> "EquivCoeff":
         return self + (-other)
 
     def __neg__(self) -> "EquivCoeff":
-        return self.scale(-1)
+        return EquivCoeff._of(
+            tuple(-v if v else v for v in self.scalar),
+            tuple(-v if v else v for v in self.omega_part),
+        )
 
     def __mul__(self, other: "EquivCoeff") -> "EquivCoeff":
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        omega = zip(
-            _tpoly_mul(self.scalar, other.omega_part),
-            _tpoly_mul(self.omega_part, other.scalar),
-        )
         return EquivCoeff._of(
-            _tpoly_mul(self.scalar, other.scalar), tuple(x + y for x, y in omega)
+            _tpoly_mul(self.scalar, other.scalar),
+            _tpoly_add(
+                _tpoly_mul(self.scalar, other.omega_part),
+                _tpoly_mul(self.omega_part, other.scalar),
+            ),
         )
 
     def __rmul__(self, other) -> "EquivCoeff":
@@ -253,7 +268,7 @@ class EquivCoeff:
     def scale(self, c) -> "EquivCoeff":
         c = _as_fraction(c)
         return EquivCoeff._of(
-            tuple(c * v for v in self.scalar), tuple(c * v for v in self.omega_part)
+            _tpoly_scale(c, self.scalar), _tpoly_scale(c, self.omega_part)
         )
 
     def is_zero(self) -> bool:
@@ -270,7 +285,7 @@ class EquivCoeff:
         scalar part of the input does not survive integration.
         """
         factor = Fraction(2 * genus - 2)
-        return EquivCoeff._of(tuple(factor * c for c in self.omega_part), _ZERO_POLY)
+        return EquivCoeff._of(_tpoly_scale(factor, self.omega_part), _ZERO_POLY)
 
     def __str__(self) -> str:
         def poly(coeffs):
@@ -290,6 +305,13 @@ class EquivCoeff:
         if o == "0":
             return s
         return f"{s} + [{o}]*omega"
+
+
+# Shared constants: EquivCoeff is frozen, so one instance of each serves
+# every caller.
+_ONE = EquivCoeff((1,))
+_T = EquivCoeff((0, 1))
+_OMEGA = EquivCoeff((), (1,))
 
 
 class ZLaurent:

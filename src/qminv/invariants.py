@@ -39,8 +39,8 @@ class UnsupportedQueryError(ValueError):
 class InvariantResult:
     """A reduced invariant value with its per-divisor breakdown.
 
-    value_t is the coefficient of t.  For the oracle route the breakdown
-    lists each wall divisor's contribution and sums to value_t exactly.
+    value_t is the coefficient of t.  The breakdown lists each divisor's
+    contribution and sums to value_t exactly on both routes.
     conjectural is set iff the query is outside the proven set
     (``unproven_reason``) and was evaluated in permissive mode.
     """
@@ -90,9 +90,12 @@ def qm_elliptic_closed(query: InvariantQuery, strict: bool = True) -> InvariantR
     conjectural = reason is not None
     if not degree_congruent(query):
         return InvariantResult(Fraction(0), (), ROUTE_CLOSED, conjectural)
-    scale = Fraction(2 * query.g - 2)
-    breakdown = tuple((m, scale / m) for m in divisors(query.w))
-    value = sum((c for _, c in breakdown), Fraction(0))
+    scale, w = 2 * query.g - 2, query.w
+    divs = divisors(w)
+    breakdown = tuple((m, Fraction(scale, m)) for m in divs)
+    # sum_{m|w} 1/m = sum_{m|w} (w/m) / w = sigma_1(w) / w: one integer
+    # sum and a single Fraction.
+    value = Fraction(scale * sum(divs), w)
     return InvariantResult(value, breakdown, ROUTE_CLOSED, conjectural)
 
 

@@ -6,10 +6,7 @@ benchmark run; these tests catch that in the fast suite instead.  They
 read ``bench/tracing.py`` as it is and change nothing under ``bench/``.
 """
 
-import importlib
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -17,17 +14,10 @@ import qminv.invariants as invariants
 from qminv.arith import InvariantQuery
 from qminv.exactalg import QSeries
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
-
 
 @pytest.fixture(scope="module")
-def tracing():
-    # tracing imports its sibling modules (workloads, reference) by bare name
-    sys.path.insert(0, str(BENCH))
-    try:
-        return importlib.import_module("tracing")
-    finally:
-        sys.path.remove(str(BENCH))
+def tracing(bench_import):
+    return bench_import("tracing")
 
 
 def test_traced_functions_resolve(tracing):

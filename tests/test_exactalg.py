@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qminv.exactalg import (
+    T_CAP,
     EquivCoeff,
     InvalidTruncationError,
     QSeries,
@@ -145,6 +146,82 @@ class TestEquivCoeff:
         t = EquivCoeff.t()
         cube = t * t * t
         assert cube.is_zero()
+
+
+class TestSparseEquivCoeff:
+    """The ring operations skip zero slots; a dense reference checks them.
+
+    The reference below does every slot's arithmetic, zero or not, on plain
+    lists.  Inputs are mostly zero, mix ``int`` and ``Fraction`` slots and
+    may be shorter than T_CAP + 1, so every shortcut is taken.
+    """
+
+    N = T_CAP + 1
+
+    @classmethod
+    def dense(cls, x):
+        return [F(v) for v in x.scalar], [F(v) for v in x.omega_part]
+
+    @classmethod
+    def dense_mul(cls, a, b):
+        out = [F(0)] * cls.N
+        for i in range(cls.N):
+            for j in range(cls.N - i):
+                out[i + j] += a[i] * b[j]
+        return out
+
+    @classmethod
+    def reference(cls, op, x, y, c):
+        (xs, xo), (ys, yo) = cls.dense(x), cls.dense(y)
+        if op == "add":
+            return [a + b for a, b in zip(xs, ys)], [a + b for a, b in zip(xo, yo)]
+        if op == "sub":
+            return [a - b for a, b in zip(xs, ys)], [a - b for a, b in zip(xo, yo)]
+        if op == "neg":
+            return [-a for a in xs], [-a for a in xo]
+        if op == "mul":
+            cross = zip(cls.dense_mul(xs, yo), cls.dense_mul(xo, ys))
+            return cls.dense_mul(xs, ys), [a + b for a, b in cross]
+        return [F(c) * a for a in xs], [F(c) * a for a in xo]
+
+    def test_zero_skipping_matches_dense_reference(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        # three of the five branches draw a zero, so most slots are zero
+        slot = st.one_of(
+            st.just(0),
+            st.just(F(0)),
+            st.just(0),
+            st.integers(-4, 4),
+            st.fractions(min_value=-3, max_value=3, max_denominator=5),
+        )
+        part = st.lists(slot, max_size=self.N).map(tuple)
+        coeffs = st.builds(EquivCoeff, part, part)
+        ops = {
+            "add": lambda x, y, c: x + y,
+            "sub": lambda x, y, c: x - y,
+            "neg": lambda x, y, c: -x,
+            "mul": lambda x, y, c: x * y,
+            "scale": lambda x, y, c: x.scale(c),
+        }
+
+        @hypothesis.settings(derandomize=True, deadline=None, max_examples=200)
+        @hypothesis.given(st.sampled_from(sorted(ops)), coeffs, coeffs, slot)
+        def check(op, x, y, c):
+            result = ops[op](x, y, c)
+            assert (list(result.scalar), list(result.omega_part)) == self.reference(op, x, y, c)
+            for slots in (result.scalar, result.omega_part):
+                assert len(slots) == self.N
+                assert all(type(v) is F for v in slots)
+            assert (x - x).is_zero() and (x + -x) == EquivCoeff.zero()
+
+        check()
+
+    def test_shared_constants(self):
+        assert EquivCoeff.one() is EquivCoeff.one()
+        assert EquivCoeff.one() == EquivCoeff((1,))
+        assert EquivCoeff.t() == EquivCoeff((0, 1))
+        assert EquivCoeff.omega() == EquivCoeff((), (1,))
 
 
 class TestZLaurent:

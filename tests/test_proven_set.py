@@ -104,6 +104,17 @@ def test_conjectural_flag_is_the_shared_decision(query):
 
 
 @property_settings
+@given(queries(), st.booleans())
+@example(COMPOSITE, False)
+@example(InvariantQuery(r=2, d=0, a=1, w=720720, g=5), True)
+def test_closed_value_is_the_sum_of_its_breakdown(query, strict):
+    # the value is one divisor-sum Fraction, the breakdown one per divisor
+    assume(not strict or unproven_reason(query) is None)
+    result = qm_elliptic_closed(query, strict=strict)
+    assert result.value_t == sum((c for _, c in result.breakdown), Fraction(0))
+
+
+@property_settings
 @given(queries())
 @example(OFF_CONGRUENCE)
 def test_off_congruence_is_zero_on_both_routes(query):
@@ -162,7 +173,7 @@ def test_json_values_round_trip_through_fraction(query, side):
 
 def test_divisor_sums_match_sympy():
     sympy = pytest.importorskip("sympy")
-    order = 300
+    order = 900  # the highest order the benchmark's series workload uses
     eta_log = series_log_product(order)
     for w in range(1, order + 1):
         sigma = Fraction(int(sympy.divisor_sigma(w)), w)

@@ -1,8 +1,9 @@
 """Wall components, slice Euler characteristics, and residues."""
 
+import itertools
 import random
 from fractions import Fraction
-from math import comb
+from math import ceil, comb, gcd
 
 import pytest
 
@@ -219,6 +220,28 @@ class TestWallComponents:
                     assert c.stab_order == c.dim**2
                     assert c.dim * F(c.slice_euler, c.stab_order) == 1
         assert ranks == {0, 2}
+
+    def test_twist_is_the_least_h_with_hr_at_least_x1(self):
+        # the oracle's value ignores h, so the twist is pinned here: h is
+        # the least integer with h*r >= x1, where (x1, x2) = (c1, ch2)/m
+        twists = set()
+        for r in (2, 3, 4, 5):
+            for a in (a for a in range(1, r) if gcd(r, a) == 1):
+                base = canonical_u_choice(r, a)
+                for s in (-1, 0, 1):
+                    u = ChernClass(base.rank + r * s, base.deg - a * s)
+                    for d, w in itertools.product((0, 1), range(1, 17)):
+                        query = InvariantQuery(r=r, d=d, a=a, w=w, g=2, u_choice=u)
+                        bd = query.base_degrees()
+                        for c in wall_components(query):
+                            x1 = F(bd.c1, c.divisor)
+                            x2 = F(bd.ch2, c.divisor)
+                            h = ceil(x1 / r)
+                            assert 0 <= h * r - x1 < r
+                            assert c.twist == h
+                            assert c.quotient_class == ChernClass(h * r - x1, h * a - x2)
+                            twists.add(h)
+        assert min(twists) < 0 < max(twists)
 
 
 class TestComponentResidueDegree:
