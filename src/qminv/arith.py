@@ -74,18 +74,6 @@ class ChernClass:
     rank: int
     deg: int
 
-    def __add__(self, other: "ChernClass") -> "ChernClass":
-        return ChernClass(self.rank + other.rank, self.deg + other.deg)
-
-    def __sub__(self, other: "ChernClass") -> "ChernClass":
-        return ChernClass(self.rank - other.rank, self.deg - other.deg)
-
-    def __rmul__(self, n: int) -> "ChernClass":
-        return ChernClass(n * self.rank, n * self.deg)
-
-    def is_zero(self) -> bool:
-        return self.rank == 0 and self.deg == 0
-
 
 def chi_pairing_elliptic(v: ChernClass, u: ChernClass) -> int:
     """Euler pairing chi(v.u) on a genus-1 curve.

@@ -81,11 +81,6 @@ class QSeries:
             raise IndexError(f"exponent {w} outside truncation 0..{self.order}")
         return self.coeffs[w]
 
-    def truncate(self, order: int) -> "QSeries":
-        if order >= self.order:
-            return self
-        return QSeries(self.coeffs[: order + 1])
-
     def _common_order(self, other: "QSeries") -> int:
         return min(self.order, other.order)
 
@@ -135,19 +130,6 @@ class QSeries:
             out = out + power.scale(Fraction(1, math.factorial(k)))
         return out
 
-    def __str__(self) -> str:
-        parts = []
-        for w, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            if w == 0:
-                parts.append(str(c))
-            elif w == 1:
-                parts.append(f"({c})*q")
-            else:
-                parts.append(f"({c})*q^{w}")
-        return " + ".join(parts) if parts else "0"
-
 
 def series_log_product(order: int) -> QSeries:
     """log of the Euler product prod_{k>=1} (1 - q**k), truncated at q**order.
@@ -167,8 +149,6 @@ def series_log_product(order: int) -> QSeries:
 
 
 def _as_tpoly(value) -> tuple[Fraction, ...]:
-    if isinstance(value, (int, Fraction)):
-        value = (value,)
     poly = tuple(map(_as_fraction, value[: T_CAP + 1]))
     return poly + (_ZERO,) * (T_CAP + 1 - len(poly))
 
@@ -225,10 +205,6 @@ class EquivCoeff:
         return _ONE
 
     @classmethod
-    def from_scalar(cls, value) -> "EquivCoeff":
-        return cls((value,))
-
-    @classmethod
     def t(cls) -> "EquivCoeff":
         return _T
 
@@ -252,8 +228,6 @@ class EquivCoeff:
         )
 
     def __mul__(self, other: "EquivCoeff") -> "EquivCoeff":
-        if isinstance(other, (int, Fraction)):
-            return self.scale(other)
         return EquivCoeff._of(
             _tpoly_mul(self.scalar, other.scalar),
             _tpoly_add(
@@ -261,9 +235,6 @@ class EquivCoeff:
                 _tpoly_mul(self.omega_part, other.scalar),
             ),
         )
-
-    def __rmul__(self, other) -> "EquivCoeff":
-        return self.scale(other)
 
     def scale(self, c) -> "EquivCoeff":
         c = _as_fraction(c)
@@ -286,25 +257,6 @@ class EquivCoeff:
         """
         factor = Fraction(2 * genus - 2)
         return EquivCoeff._of(_tpoly_scale(factor, self.omega_part), _ZERO_POLY)
-
-    def __str__(self) -> str:
-        def poly(coeffs):
-            terms = []
-            for k, c in enumerate(coeffs):
-                if c == 0:
-                    continue
-                if k == 0:
-                    terms.append(str(c))
-                elif k == 1:
-                    terms.append(f"({c})*t")
-                else:
-                    terms.append(f"({c})*t^{k}")
-            return " + ".join(terms) if terms else "0"
-
-        s, o = poly(self.scalar), poly(self.omega_part)
-        if o == "0":
-            return s
-        return f"{s} + [{o}]*omega"
 
 
 # Shared constants: EquivCoeff is frozen, so one instance of each serves
@@ -336,14 +288,6 @@ class ZLaurent:
     def coefficient(self, exponent: int) -> EquivCoeff:
         return self._terms.get(exponent, EquivCoeff.zero())
 
-    def residue(self) -> EquivCoeff:
-        return self.coefficient(-1)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ZLaurent):
-            return NotImplemented
-        return self._terms == other._terms
-
     def __repr__(self) -> str:
         inner = ", ".join(f"z^{e}: {c}" for e, c in self._terms.items())
         return f"ZLaurent({{{inner}}})"
@@ -351,4 +295,4 @@ class ZLaurent:
 
 def laurent_residue(f: ZLaurent) -> EquivCoeff:
     """Coefficient of z**-1; the zero element if there is no simple pole."""
-    return f.residue()
+    return f.coefficient(-1)

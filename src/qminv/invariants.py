@@ -61,7 +61,8 @@ def unproven_reason(query: InvariantQuery) -> str | None:
 
     None when the query is proven: r is prime and every divisor of w is 0
     or a mod r.  Every route and the conjectural formula share this one
-    decision; it ignores the congruence w = d*a mod r.
+    decision; it ignores the congruence w = d*a mod r, so the 0 of an
+    unproven query off the congruence stays conjectural.
     """
     r, w = query.r, query.w
     if not is_prime(r):

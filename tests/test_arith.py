@@ -111,6 +111,13 @@ class TestSolveBaseDegrees:
         with pytest.raises(NormalizationError):
             solve_base_degrees(2, 1, 3, ChernClass(0, 0))
 
+    def test_determinant_beyond_minus_one(self):
+        # integral cases with |det| > 1, where dividing by det differs from
+        # multiplying by it: det = -2 first, then det = -3 with both
+        # numerators nonzero
+        assert solve_base_degrees(2, 1, 4, ChernClass(0, 1)) == BaseDegrees(0, -2)
+        assert solve_base_degrees(2, 1, 3, ChernClass(1, 1)) == BaseDegrees(1, -1)
+
     def test_non_integer_solution(self):
         # chi pairing 2 makes the determinant 2; odd w has no integer solution
         with pytest.raises(NormalizationError):
@@ -144,9 +151,16 @@ class TestTorsionOrder:
 
 class TestIsPrime:
     def test_small_table(self):
-        primes = {2, 3, 5, 7, 11, 13, 17, 19, 23}
-        for n in range(25):
-            assert is_prime(n) == (n in primes)
+        # sieve of Eratosthenes below 150: odd squares and products of
+        # odd primes (25, 35, 49, ...) must not pass as prime
+        limit = 150
+        sieve = [False, False] + [True] * (limit - 2)
+        for p in range(2, limit):
+            if sieve[p]:
+                for multiple in range(p * p, limit, p):
+                    sieve[multiple] = False
+        for n in range(limit):
+            assert is_prime(n) == sieve[n], n
 
 
 class TestInvariantQuery:
@@ -165,14 +179,18 @@ class TestInvariantQuery:
     def test_rejects_non_coprime(self):
         with pytest.raises(ValueError, match="gcd"):
             InvariantQuery(r=4, d=1, a=2, w=1, g=2, u_choice=ChernClass(1, 0))
+        # a = 0 lies in [0, r), so it is the gcd check that rejects it
+        with pytest.raises(ValueError, match="gcd"):
+            InvariantQuery(r=2, d=1, a=0, w=3, g=2, u_choice=ChernClass(1, 0))
 
     def test_rejects_low_genus(self):
         with pytest.raises(ValueError, match="genus"):
             InvariantQuery(r=2, d=1, a=1, w=3, g=1)
 
     def test_rejects_a_out_of_range(self):
-        with pytest.raises(ValueError, match="lie in"):
-            InvariantQuery(r=2, d=1, a=3, w=3, g=2)
+        for a in (2, 3):  # a = r itself is out of range, not only a > r
+            with pytest.raises(ValueError, match="lie in"):
+                InvariantQuery(r=2, d=1, a=a, w=3, g=2)
 
     def test_base_degrees_shortcut(self):
         q = InvariantQuery(r=2, d=1, a=1, w=6, g=2)

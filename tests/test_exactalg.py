@@ -88,8 +88,27 @@ class TestQSeriesRing:
         b = series_log_product(6)
         assert (a + b).order == 6
         assert (a * b).order == 6
-        assert a.truncate(6) == b
-        assert a.truncate(10) is a
+        assert QSeries(a.coeffs[:7]) == b
+
+    def test_zero_and_one(self):
+        assert QSeries.zero(3).coeffs == (F(0), F(0), F(0), F(0))
+        assert QSeries.one(3).coeffs == (F(1), F(0), F(0), F(0))
+
+    def test_mul_matches_dense_product(self):
+        one_plus_q = QSeries((1, 1, 0))
+        assert (one_plus_q * one_plus_q).coeffs == (F(1), F(2), F(1))
+        a = series_log_product(9)
+        b = QSeries(tuple(F(i - 4, i + 1) for i in range(10)))
+        dense = [F(0)] * 10
+        for i in range(10):
+            for j in range(10 - i):
+                dense[i + j] += a.coeffs[i] * b.coeffs[j]
+        assert list((a * b).coeffs) == dense
+
+    def test_neg_is_scale_by_minus_one(self):
+        s = series_log_product(7)
+        assert -s == s.scale(-1)
+        assert (-s).coefficient(1) == 1
 
     def test_mul_commutes_and_associates(self):
         a = series_log_product(12)
@@ -141,6 +160,13 @@ class TestEquivCoeff:
         assert paired.omega_part == (F(0), F(0), F(0))
         assert paired.t_coeff(0) == F(4, 3)
         assert paired.t_coeff(1) == F(-4)
+
+    def test_input_above_t_cap_is_dropped(self):
+        x = EquivCoeff((1, 2, 3, 4, 5), (6, 7, 8, 9))
+        assert x.scalar == (F(1), F(2), F(3))
+        assert x.omega_part == (F(6), F(7), F(8))
+        assert x.t_coeff(T_CAP) == F(3)
+        assert x.t_coeff(T_CAP + 1) == 0
 
     def test_t_truncation_is_a_quotient_ring(self):
         t = EquivCoeff.t()
@@ -231,7 +257,7 @@ class TestZLaurent:
         assert laurent_residue(f) == t_omega
 
     def test_no_pole_gives_zero(self):
-        f = ZLaurent({0: EquivCoeff.from_scalar(5)})
+        f = ZLaurent({0: EquivCoeff((5,))})
         assert laurent_residue(f).is_zero()
 
     def test_geometric_expansion_residue(self):
@@ -242,8 +268,8 @@ class TestZLaurent:
         assert laurent_residue(f) == c.scale(F(-1, m))
 
     def test_exponents_below_floor_are_dropped(self):
-        f = ZLaurent({-3: EquivCoeff.one(), -1: EquivCoeff.t()})
-        assert f.exponents() == [-1]
+        f = ZLaurent({-3: EquivCoeff.one(), -2: EquivCoeff.omega(), -1: EquivCoeff.t()})
+        assert f.exponents() == [-2, -1]
 
     def test_zero_coefficients_are_dropped(self):
         f = ZLaurent({0: EquivCoeff.zero(), -1: EquivCoeff.t()})

@@ -4,10 +4,18 @@ from fractions import Fraction
 
 import pytest
 
-from qminv.arith import InvariantQuery, canonical_u_choice, divisors, sigma_minus_one
+from qminv import invariants
+from qminv.arith import (
+    DomainError,
+    InvariantQuery,
+    canonical_u_choice,
+    divisors,
+    sigma_minus_one,
+)
 from qminv.exactalg import series_log_product
 from qminv.invariants import (
     ROUTE_ORACLE,
+    InvariantResult,
     UnsupportedQueryError,
     degree_congruent,
     gw_moduli,
@@ -20,6 +28,7 @@ from qminv.invariants import (
     series_identity_even,
     series_identity_odd,
 )
+from qminv.quotloc import InvalidComponentError, normal_bundle_inverse_expansion
 
 F = Fraction
 
@@ -222,3 +231,29 @@ class TestConjecturalFormula:
             query = q2(w % 2, w, 3)
             assert qm_conjectural(query).value_t == qm_moduli(query).value_t
             assert not qm_conjectural(query).conjectural
+
+    def test_oracle_disagreement_on_a_proven_query_raises(self, monkeypatch):
+        def off_by_one(query, strict=True):
+            return InvariantResult(F(1), (), ROUTE_ORACLE, False)
+
+        monkeypatch.setattr(invariants, "qm_elliptic_oracle", off_by_one)
+        with pytest.raises(RuntimeError, match="disagrees with the oracle"):
+            qm_conjectural(q2(1, 3))
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize(
+        "call, error, message",
+        [
+            (lambda: InvariantQuery(r=1, d=0, a=0, w=1, g=2), ValueError, "rank must be >= 2"),
+            (lambda: qm_moduli(q2(1, 3), route="x"), ValueError, "unknown route 'x'"),
+            (lambda: qm_constant_map(2, 1, 1), ValueError, "genus must be >= 2"),
+            (lambda: qm_degree_zero(q2(1, 1)), ValueError, "expects w = 0"),
+            (lambda: qm_elliptic_oracle(q2(0, 0)), ValueError, "needs w >= 1"),
+            (lambda: normal_bundle_inverse_expansion(0, 1), DomainError, "divisor must be >= 1"),
+            (lambda: normal_bundle_inverse_expansion(1, -1), InvalidComponentError, "dimension must be >= 0"),
+        ],
+    )
+    def test_rejected(self, call, error, message):
+        with pytest.raises(error, match=message):
+            call()

@@ -1,0 +1,314 @@
+"""Single-site mutation run over the arithmetic core of qminv (stdlib only).
+
+    python tools/mutate.py
+
+Each mutant changes one site of ``arith``, ``exactalg``, ``quotloc`` or
+``invariants`` by one entry of a fixed catalogue:
+
+* binary operators: ``+ <-> -``, ``* <-> //``, ``/ -> *``, ``% -> //``,
+  ``** -> *`` (in expressions and augmented assignments);
+* comparisons: ``< <-> <=``, ``> <-> >=``, ``== <-> !=``, ``in <-> not in``,
+  ``is <-> is not``;
+* integer constants: ``n -> n + 1``;
+* unary operators: drop ``-`` or ``not``.
+
+F-string message text is not mutated.  Every mutant is written into one
+temporary copy of the checkout this script sits in (``TMPDIR`` decides
+where) and judged by two detectors, one subprocess at a time:
+
+1. ``run_selfcheck()`` plus four strict ``sweep`` grids (both routes) at
+   r = 2 and, on proven degrees only, at r = 3;
+2. the tier-1 test suite, on the mutants stage 1 left alive.
+
+A detector that fails, raises or runs past its time limit kills the
+mutant.  The unmutated modules are round-tripped through ``ast.unparse``
+and must pass both stages first; otherwise the run aborts with exit 2.
+The report, ``tools/mutants.txt``, lists the score, then each survivor
+with the reason recorded for it in ``REASONS`` below; the run exits 1 if
+a survivor has none.  To score another checkout, run its own copy of this
+script.  A run takes about 20 minutes on a 2-vCPU machine, so it is not
+part of tier-1.
+"""
+
+from __future__ import annotations
+
+import ast
+import copy
+import os
+import resource
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+import time
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+REPORT = ROOT / "tools" / "mutants.txt"
+MODULES = ("arith", "exactalg", "quotloc", "invariants")
+
+BINOP_SWAPS = {
+    ast.Add: ast.Sub,
+    ast.Sub: ast.Add,
+    ast.Mult: ast.FloorDiv,
+    ast.FloorDiv: ast.Mult,
+    ast.Div: ast.Mult,
+    ast.Mod: ast.FloorDiv,
+    ast.Pow: ast.Mult,
+}
+COMPARE_FLIPS = {
+    ast.Lt: ast.LtE,
+    ast.LtE: ast.Lt,
+    ast.Gt: ast.GtE,
+    ast.GtE: ast.Gt,
+    ast.Eq: ast.NotEq,
+    ast.NotEq: ast.Eq,
+    ast.In: ast.NotIn,
+    ast.NotIn: ast.In,
+    ast.Is: ast.IsNot,
+    ast.IsNot: ast.Is,
+}
+
+SWEEPS = [
+    ["sweep", "-r", "2", "-d", "0", "-a", "1", "--w-max", "40", "--g", "2..3"],
+    ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", "40", "--g", "2..3"],
+    # r = 3 on proven degrees only: every divisor of w is 0 or 1 mod 3
+    ["sweep", "-r", "3", "-d", "0", "-a", "1", "--w-list", "1,3,7,9,21,27,39,63,81", "--g", "2..3"],
+    ["sweep", "-r", "3", "-d", "1", "-a", "1", "--w-list", "1,3,7,13,49,91", "--g", "2..3"],
+]
+
+STAGE1 = f"""
+import contextlib, io, sys
+from qminv.cli import main
+from qminv.selfcheck import run_selfcheck
+failed = [name for name, ok, _ in run_selfcheck() if not ok]
+for argv in {SWEEPS!r}:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    if code:
+        failed.append(" ".join(argv) + " -> exit " + str(code))
+print("\\n".join(failed))
+sys.exit(1 if failed else 0)
+"""
+STAGE2 = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "tests"]
+
+# Parents shown around a mutated constant, so that "1 -> 2" has a context.
+CONTEXTS = (ast.expr, ast.Assign, ast.AugAssign, ast.Return)
+
+MEMORY_LIMIT = 2 << 30  # bytes of address space per detector process
+
+# Why each survivor is harmless, keyed as ``mutants`` names the mutant.
+REASONS = {
+    "arith.canonical_u_choice: u2 = (1 - a * u1) // r -> u2 = (2 - a * u1) // r":
+        "equivalent: a*u1 = 1 mod r, so 1 - a*u1 is a multiple of r, and adding"
+        " 1 < r to it leaves the floor quotient unchanged",
+    "exactalg.QSeries.exp: range(1, n + 1) -> range(1, n + 2)":
+        "equivalent: the extra term self**(n+1)/(n+1)! starts at q**(n+1),"
+        " because the constant term is 0, so it is zero at truncation n",
+    "exactalg.series_log_product: sigma = [0] * (order + 1) -> sigma = [0] * (order + 2)":
+        "equivalent: the extra slot sigma[order+1] is never written (k*j <= order)"
+        " nor read",
+    "exactalg.series_log_product: range(1, order + 1) -> range(1, order + 2)":
+        "equivalent: the extra k = order + 1 has the empty inner loop"
+        " range(1, order // k + 1) = range(1, 1)",
+    "quotloc.wall_components: r - 1 -> r + 1":
+        "equivalent: h = ceil(x1 / r) puts h*r - x1 in [0, r - 1], so the"
+        " assertion cannot fail with either bound",
+}
+
+
+def _catalogue(node):
+    """Yield one function per mutation of the catalogue that applies to node."""
+    if isinstance(node, (ast.BinOp, ast.AugAssign)) and type(node.op) in BINOP_SWAPS:
+        def swap(node=node):
+            new = copy.deepcopy(node)
+            new.op = BINOP_SWAPS[type(node.op)]()
+            return new
+        yield swap
+    if isinstance(node, ast.Compare):
+        for i, op in enumerate(node.ops):
+            if type(op) in COMPARE_FLIPS:
+                def flip(node=node, i=i):
+                    new = copy.deepcopy(node)
+                    new.ops[i] = COMPARE_FLIPS[type(node.ops[i])]()
+                    return new
+                yield flip
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        yield lambda node=node: ast.copy_location(ast.Constant(node.value + 1), node)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.Not)):
+        yield lambda node=node: node.operand
+
+
+class _Sites(ast.NodeTransformer):
+    """Number the mutation sites of a module in a fixed order.
+
+    With ``target`` set, the site of that number is replaced by its mutant,
+    and ``context`` is the node whose source text shows the change: the
+    site itself, or for a bare constant the whole expression or simple
+    statement around it.
+    """
+
+    def __init__(self, target: int | None = None):
+        self.target = target
+        self.sites: list[tuple[int, str]] = []  # (line, enclosing scope)
+        self.scope: list[str] = []
+        self.stack: list[ast.AST] = []
+        self.context = self.before = None
+
+    def visit(self, node):
+        self.stack.append(node)
+        try:
+            return super().visit(node)
+        finally:
+            self.stack.pop()
+
+    def _scoped(self, node):
+        self.scope.append(node.name)
+        self.generic_visit(node)
+        self.scope.pop()
+        return node
+
+    visit_FunctionDef = visit_ClassDef = _scoped
+
+    def visit_JoinedStr(self, node):
+        return node
+
+    def generic_visit(self, node):
+        super().generic_visit(node)
+        for mutate in _catalogue(node):
+            index = len(self.sites)
+            self.sites.append((node.lineno, ".".join(self.scope) or "<module>"))
+            if index == self.target:
+                new = self.context = mutate()
+                if isinstance(node, ast.Constant):
+                    # the transformer puts the mutant into its parents in place
+                    top = len(self.stack) - 1
+                    while isinstance(self.stack[top - 1], CONTEXTS):
+                        top -= 1
+                    if self.stack[top] is not node:
+                        node = self.context = self.stack[top]
+                self.before = ast.unparse(node)
+                return new
+        return node
+
+
+def count_sites(source: str) -> list[tuple[int, str]]:
+    sites = _Sites()
+    sites.visit(ast.parse(source))
+    return sites.sites
+
+
+def mutant_source(source: str, target: int) -> tuple[str, str, str]:
+    """The mutated module, and the changed code before and after."""
+    sites = _Sites(target)
+    tree = sites.visit(ast.parse(source))
+    return ast.unparse(tree), sites.before, ast.unparse(sites.context)
+
+
+def mutants(sources: dict[str, str]):
+    """Yield (module, line, key, mutated source) for every mutant in a fixed order.
+
+    The key names the change as "module.scope: before -> after", with " #n"
+    added for the n-th identical change in one scope.
+    """
+    seen = Counter()
+    for module in MODULES:
+        for index, (line, scope) in enumerate(count_sites(sources[module])):
+            text, before, after = mutant_source(sources[module], index)
+            key = f"{module}.{scope}: {before} -> {after}"
+            seen[key] += 1
+            if seen[key] > 1:
+                key += f" #{seen[key]}"
+            yield module, line, key, text
+
+
+def _limit_memory():
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
+
+
+def run_detector(args: list[str], cwd: Path, timeout: float) -> str | None:
+    """Run one detector process; None if it passes, else why it failed."""
+    env = dict(os.environ, PYTHONPATH=str(cwd / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.Popen(
+        [sys.executable, *args], cwd=cwd, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        preexec_fn=_limit_memory, start_new_session=True,
+    )
+    try:
+        out, _ = proc.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        return "timeout"
+    if proc.returncode == 0:
+        return None
+    lines = out.decode(errors="replace").strip().splitlines()
+    return f"exit {proc.returncode}: {lines[-1] if lines else ''}"
+
+
+def copy_checkout(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache", "*.egg-info")
+    for name in ("src", "tests", "bench"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+
+
+def main() -> int:
+    sources = {m: (ROOT / "src" / "qminv" / f"{m}.py").read_text() for m in MODULES}
+    with tempfile.TemporaryDirectory(prefix="qminv-mutate-") as tmp:
+        work = Path(tmp)
+        copy_checkout(work)
+        paths = {m: work / "src" / "qminv" / f"{m}.py" for m in MODULES}
+        baseline = {m: ast.unparse(ast.parse(s)) for m, s in sources.items()}
+        for m, text in baseline.items():
+            paths[m].write_text(text)
+
+        timeouts = []
+        for stage in (["-c", STAGE1], STAGE2):
+            start = time.perf_counter()
+            failure = run_detector(stage, work, timeout=600)
+            if failure:
+                print(f"unmutated tree fails {stage[:2]}: {failure}", file=sys.stderr)
+                return 2
+            timeouts.append(max(60.0, 5 * (time.perf_counter() - start)))
+
+        plan = list(mutants(sources))
+        killed = {1: 0, 2: 0}
+        survivors = []
+        for n, (module, line, key, text) in enumerate(plan, 1):
+            paths[module].write_text(text)
+            verdict = None
+            for stage, detector in ((1, ["-c", STAGE1]), (2, STAGE2)):
+                failure = run_detector(detector, work, timeouts[stage - 1])
+                if failure:
+                    killed[stage] += 1
+                    verdict = f"killed by stage {stage} ({failure})"
+                    break
+            paths[module].write_text(baseline[module])
+            if verdict is None:
+                survivors.append((module, line, key))
+                verdict = "SURVIVED"
+            print(f"[{n}/{len(plan)}] {module}:{line} {key}  {verdict}", file=sys.stderr, flush=True)
+
+    total, dead = len(plan), killed[1] + killed[2]
+    unexplained = [key for _, _, key in survivors if key not in REASONS]
+    lines = [
+        "# Single-site mutation run over src/qminv/{" + ",".join(MODULES) + "}.py.",
+        "# Regenerate with: python tools/mutate.py",
+        f"score: {dead}/{total} killed ({100 * dead / total:.1f} %)",
+        f"stage 1 (run_selfcheck + strict sweeps at r = 2, 3): {killed[1]} killed",
+        f"stage 2 (tier-1 suite on the stage-1 survivors): {killed[2]} killed",
+        f"survivors: {len(survivors)}, unexplained: {len(unexplained)}",
+        "",
+    ]
+    for module, line, key in survivors:
+        lines.append(f"{module}.py:{line} {key}")
+        lines.append(f"    {REASONS.get(key, 'UNEXPLAINED')}")
+    REPORT.write_text("\n".join(lines) + "\n")
+    print("\n".join(lines[2:6]), file=sys.stderr)
+    return 1 if unexplained else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
