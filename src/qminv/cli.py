@@ -9,12 +9,15 @@ Subcommands:
 * ``selfcheck`` -- run the built-in property suites.
 
 ``--permissive`` reaches both routes: an unproven query is evaluated and
-flagged conjectural.  In strict mode (the default) it exits 3, and a
-``sweep`` keeps on stdout the points before it.
+flagged conjectural.  In strict mode (the default) it exits 3.
 
-Exit codes are the machine contract: 0 success, 2 route or identity
-disagreement or internal cross-check failure, 3 unsupported query in
-strict mode, 4 invalid input.
+One emitter, ``_emit``, prints every record as soon as it is computed and
+writes the ``--out`` file only after the last one, so a ``sweep`` stopped
+in strict mode keeps its earlier points on stdout and writes no file.
+
+Exit codes are the machine contract: 0 success, 1 failed selfcheck or
+closed stdout, 2 route or identity disagreement or internal cross-check
+failure, 3 unsupported query in strict mode, 4 invalid input.
 Rationals are printed exactly as "p/q" strings, never as decimals,
 unless an approximation is explicitly requested with --decimal.
 """
@@ -71,13 +74,16 @@ def _write_out(path: str, records: list[dict]) -> None:
         raise ValueError(f"cannot write --out file: {exc}") from exc
 
 
-def _emit(payload: dict, args, table_lines: list[str]) -> None:
-    if args.format == "json":
-        print(json.dumps(payload))
-    else:
-        print("\n".join(table_lines))
-    if args.out:
-        _write_out(args.out, [payload])
+def _emit(args, items) -> dict:
+    """Print each (record, table text) pair as it arrives; return the last record."""
+    records = []
+    for record, text in items:
+        print(json.dumps(record) if args.format == "json" else text, flush=True)
+        if args.out is not None:
+            records.append(record)
+    if args.out is not None:
+        _write_out(args.out, records)
+    return record
 
 
 def _u_choice(args):
@@ -96,39 +102,13 @@ def _cmd_invariant(args) -> int:
         r=args.rank, d=args.deg_d, a=args.deg_a, w=args.degree_w, g=args.genus,
         u_choice=_u_choice(args),
     )
-    strict = not args.permissive
-    checks = []
-    routes_payload = None
-
+    routes = {"closed": (ROUTE_CLOSED,), "oracle": (ROUTE_ORACLE,), "both": (ROUTE_CLOSED, ROUTE_ORACLE)}[args.route]
     if query.w == 0:
-        result = qm_degree_zero(query)
-    elif args.route == "both":
-        closed = _result_for(query, ROUTE_CLOSED, args.side, strict)
-        result = _result_for(query, ROUTE_ORACLE, args.side, strict)
-        checks.append({"name": "route_agreement", "pass": closed.value_t == result.value_t})
-        routes_payload = {
-            name: {"value": str(r.value_t), "breakdown": _breakdown_payload(r.breakdown)}
-            for name, r in ((ROUTE_CLOSED, closed), (ROUTE_ORACLE, result))
-        }
+        results = [qm_degree_zero(query)]
     else:
-        route = ROUTE_CLOSED if args.route == "closed" else ROUTE_ORACLE
-        result = _result_for(query, route, args.side, strict)
-
-    route_label = "both" if routes_payload else result.route
-    payload, lines = _invariant_payload(
-        query, args, result, route_label, checks, routes_payload
-    )
-    _emit(payload, args, lines)
-    if checks and not checks[0]["pass"]:
-        print(
-            f"route disagreement: closed={closed.value_t} oracle={result.value_t}",
-            file=sys.stderr,
-        )
-        return EXIT_DISAGREE
-    return EXIT_OK
-
-
-def _invariant_payload(query, args, result, route_label, checks, routes_payload):
+        results = [_result_for(query, route, args.side, not args.permissive) for route in routes]
+    result = results[-1]
+    agree = all(other.value_t == result.value_t for other in results)
     payload = {
         "query": {
             "r": query.r,
@@ -139,41 +119,44 @@ def _invariant_payload(query, args, result, route_label, checks, routes_payload)
             "side": args.side,
         },
         "value": str(result.value_t),
-        "route": route_label,
+        "route": "both" if len(results) > 1 else result.route,
         "conjectural": result.conjectural,
         "breakdown": _breakdown_payload(result.breakdown),
     }
-    if routes_payload is not None:
-        payload["routes"] = routes_payload
-    if checks:
-        payload["identity_checks"] = checks
-    if args.decimal:
-        try:
-            payload["approx"] = float(result.value_t)
-        except OverflowError:
-            raise ValueError("--decimal: value is too large for a float approximation") from None
-    if args.raw:
-        payload["raw"] = f"({result.value_t})*t"
-
     lines = [
         f"query        r={query.r} d={query.d} a={query.a} w={query.w} g={query.g} side={args.side}",
         f"value        {payload['value']}",
-        f"route        {route_label}",
+        f"route        {payload['route']}",
         f"conjectural  {'yes' if result.conjectural else 'no'}",
     ]
     if result.breakdown:
         pieces = "; ".join(f"m={m}: {c}" for m, c in result.breakdown)
         lines.append(f"breakdown    {pieces}")
-    if routes_payload is not None:
-        for name, data in routes_payload.items():
-            lines.append(f"{name:<12} value {data['value']}")
-    for check in checks:
-        lines.append(f"check        {check['name']}: {'pass' if check['pass'] else 'FAIL'}")
+    if len(results) > 1:
+        payload["routes"] = {
+            name: {"value": str(r.value_t), "breakdown": _breakdown_payload(r.breakdown)}
+            for name, r in zip(routes, results)
+        }
+        payload["identity_checks"] = [{"name": "route_agreement", "pass": agree}]
+        lines.extend(f"{name:<12} value {r.value_t}" for name, r in zip(routes, results))
+        lines.append(f"check        route_agreement: {'pass' if agree else 'FAIL'}")
     if args.decimal:
+        try:
+            payload["approx"] = float(result.value_t)
+        except OverflowError:
+            raise ValueError("--decimal: value is too large for a float approximation") from None
         lines.append(f"approx       {payload['approx']} (decimal approximation)")
     if args.raw:
+        payload["raw"] = f"({result.value_t})*t"
         lines.append(f"raw          {payload['raw']}")
-    return payload, lines
+    _emit(args, [(payload, "\n".join(lines))])
+    if not agree:
+        print(
+            f"route disagreement: closed={results[0].value_t} oracle={result.value_t}",
+            file=sys.stderr,
+        )
+        return EXIT_DISAGREE
+    return EXIT_OK
 
 
 def _cmd_series(args) -> int:
@@ -204,7 +187,7 @@ def _cmd_series(args) -> int:
     for row in coefficients:
         lines.append(f"{row['w']} {row['lhs']} {row['rhs']}")
     lines.append(f"verdict: {'PASS' if check.equal else 'FAIL'}")
-    _emit(payload, args, lines)
+    _emit(args, [(payload, "\n".join(lines))])
     return EXIT_OK if check.equal else EXIT_DISAGREE
 
 
@@ -219,7 +202,8 @@ def _parse_genus_range(text: str) -> list[int]:
     return genera
 
 
-def _cmd_sweep(args) -> int:
+def _sweep(args):
+    """Yield (record, table text) for each grid point as it is computed, then the summary."""
     strict = not args.permissive
     genera = _parse_genus_range(args.g)
     if args.w_list is not None:
@@ -227,7 +211,6 @@ def _cmd_sweep(args) -> int:
     else:
         ws = list(range(1, args.w_max + 1))
     u = _u_choice(args)
-    records = []
     total = agree = conjectural = 0
     for g in genera:
         for w in ws:
@@ -247,25 +230,18 @@ def _cmd_sweep(args) -> int:
                 "agree": point_agree,
                 "conjectural": oracle.conjectural,
             }
-            if args.format == "json":
-                print(json.dumps(record), flush=True)
-            else:
-                print(
-                    f"g={g} w={w} closed={record['closed']} oracle={record['oracle']} "
-                    f"{'agree' if point_agree else 'DISAGREE'}"
-                    f"{' conjectural' if oracle.conjectural else ''}",
-                    flush=True,
-                )
-            if args.out:
-                records.append(record)
+            yield record, (
+                f"g={g} w={w} closed={record['closed']} oracle={record['oracle']} "
+                f"{'agree' if point_agree else 'DISAGREE'}"
+                f"{' conjectural' if oracle.conjectural else ''}"
+            )
     summary = {"total": total, "agree": agree, "conjectural": conjectural}
-    if args.format == "json":
-        print(json.dumps({"summary": summary}))
-    else:
-        print(f"{agree}/{total} agree" + (f", {conjectural} conjectural" if conjectural else ""))
-    if args.out:
-        _write_out(args.out, records + [{"summary": summary}])
-    return EXIT_OK if agree == total else EXIT_DISAGREE
+    yield {"summary": summary}, f"{agree}/{total} agree" + (f", {conjectural} conjectural" if conjectural else "")
+
+
+def _cmd_sweep(args) -> int:
+    summary = _emit(args, _sweep(args))["summary"]
+    return EXIT_OK if summary["agree"] == summary["total"] else EXIT_DISAGREE
 
 
 def _cmd_selfcheck(_args) -> int:
@@ -291,7 +267,7 @@ def _add_query_flags(parser, include_genus: bool = True) -> None:
 
 def _add_mode_flags(parser) -> None:
     mode = parser.add_mutually_exclusive_group()
-    mode.add_argument("--strict", action="store_true", default=True, help="reject queries outside the proven set (default)")
+    mode.add_argument("--strict", action="store_false", dest="permissive", default=False, help="reject queries outside the proven set (default)")
     mode.add_argument("--permissive", action="store_true", help="evaluate queries outside the proven set and flag the output conjectural")
 
 
@@ -361,6 +337,10 @@ def main(argv=None) -> int:
     except RuntimeError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return EXIT_DISAGREE
+    except BrokenPipeError:
+        # stdout was closed early: silence the interpreter's final flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -65,10 +65,6 @@ class QSeries:
         object.__setattr__(self, "coeffs", coeffs)
 
     @classmethod
-    def zero(cls, order: int) -> "QSeries":
-        return cls((Fraction(0),) * (order + 1))
-
-    @classmethod
     def one(cls, order: int) -> "QSeries":
         return cls((Fraction(1),) + (Fraction(0),) * order)
 

@@ -1,7 +1,11 @@
 """Command-line interface: output schema, formats, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +14,8 @@ import qminv.quotloc as quotloc
 import qminv.selfcheck as selfcheck
 from qminv.exactalg import ZLaurent
 from qminv.invariants import InvariantResult, ROUTE_CLOSED
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -129,17 +135,18 @@ class TestInvariantCommand:
         assert json.loads(target.read_text())["value"] == "8/3"
 
     def test_out_in_missing_directory(self, capsys, tmp_path):
-        target = tmp_path / "missing" / "record.json"
-        code, out, err = run(
-            capsys,
-            "invariant", "-r", "2", "-d", "1", "-a", "1", "-w", "3", "-g", "2",
-            "--format", "json", "--out", str(target),
-        )
-        assert code == 4
-        assert json.loads(out)["value"] == "8/3"
-        assert err.startswith("invalid input: cannot write --out file:")
-        assert err.count("\n") == 1
-        assert not target.exists()
+        # an empty path is as unwritable as a missing directory
+        for target in (str(tmp_path / "missing" / "record.json"), ""):
+            code, out, err = run(
+                capsys,
+                "invariant", "-r", "2", "-d", "1", "-a", "1", "-w", "3", "-g", "2",
+                "--format", "json", "--out", target,
+            )
+            assert code == 4
+            assert json.loads(out)["value"] == "8/3"
+            assert err.startswith("invalid input: cannot write --out file:")
+            assert err.count("\n") == 1
+            assert not os.path.exists(target)
 
     def test_higher_rank_uses_canonical_normalisation(self, capsys):
         code, out, _ = run(
@@ -221,6 +228,41 @@ class TestExitCodes:
         )
         assert code == 2
         assert "disagreement" in err
+
+    def test_route_disagreement_output(self, capsys, monkeypatch):
+        def fake_closed(query, strict=True):
+            return InvariantResult(Fraction(999), (), ROUTE_CLOSED, False)
+
+        monkeypatch.setattr(cli, "qm_elliptic_closed", fake_closed)
+        argv = ["invariant", "-r", "2", "-d", "1", "-a", "1", "-w", "3", "-g", "2", "--route", "both"]
+        assert run(capsys, *argv) == (
+            2,
+            "query        r=2 d=1 a=1 w=3 g=2 side=elliptic\n"
+            "value        8/3\n"
+            "route        both\n"
+            "conjectural  no\n"
+            "breakdown    m=1: 2; m=3: 2/3\n"
+            "closed_form  value 999\n"
+            "wall_crossing_oracle value 8/3\n"
+            "check        route_agreement: FAIL\n",
+            "route disagreement: closed=999 oracle=8/3\n",
+        )
+        code, out, err = run(capsys, *argv, "--format", "json")
+        assert (code, err) == (2, "route disagreement: closed=999 oracle=8/3\n")
+        breakdown = [{"m": 1, "contribution": "2"}, {"m": 3, "contribution": "2/3"}]
+        # dumps keeps key order, so this pins the line byte for byte
+        assert out == json.dumps({
+            "query": {"r": 2, "d": 1, "a": 1, "w": 3, "g": 2, "side": "elliptic"},
+            "value": "8/3",
+            "route": "both",
+            "conjectural": False,
+            "breakdown": breakdown,
+            "routes": {
+                "closed_form": {"value": "999", "breakdown": []},
+                "wall_crossing_oracle": {"value": "8/3", "breakdown": breakdown},
+            },
+            "identity_checks": [{"name": "route_agreement", "pass": False}],
+        }) + "\n"
 
     def test_unsupported_composite_rank(self, capsys):
         # 1 = 5 = 1 mod 4, so the reason is the rank, not the divisors
@@ -397,17 +439,30 @@ class TestSweepCommand:
         assert err == "invalid input: empty genus range\n"
 
     def test_out_in_missing_directory(self, capsys, tmp_path):
-        target = tmp_path / "missing" / "sweep.jsonl"
-        code, out, err = run(
-            capsys,
-            "sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", "3", "--g", "2",
-            "--out", str(target),
-        )
-        assert code == 4
-        assert out.strip().endswith("3/3 agree")
-        assert err.startswith("invalid input: cannot write --out file:")
-        assert err.count("\n") == 1
-        assert not target.exists()
+        for target in (str(tmp_path / "missing" / "sweep.jsonl"), ""):
+            code, out, err = run(
+                capsys,
+                "sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", "3", "--g", "2",
+                "--out", target,
+            )
+            assert code == 4
+            assert out.strip().endswith("3/3 agree")
+            assert err.startswith("invalid input: cannot write --out file:")
+            assert err.count("\n") == 1
+            assert not os.path.exists(target)
+
+    def test_closed_stdout_exits_1_without_traceback(self):
+        with subprocess.Popen(
+            [sys.executable, "-m", "qminv.cli", "sweep", "-r", "2", "-d", "1", "-a", "1",
+             "--w-max", "3000", "--g", "2..5"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+        ) as proc:
+            assert proc.stdout.readline() == b"g=2 w=1 closed=2 oracle=2 agree\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert (proc.wait(timeout=60), err) == (1, b"")
 
     def test_permissive_flags_each_point(self, capsys):
         code, out, _ = run(

@@ -65,7 +65,7 @@ class TestNegateVariable:
         assert s.negate_variable().coeffs == (F(0), F(1), F(-3, 2), F(4, 3))
 
     def test_zero_series_fixed(self):
-        z = QSeries.zero(5)
+        z = QSeries((0,) * 6)
         assert z.negate_variable() == z
 
     def test_involution(self):
@@ -91,7 +91,6 @@ class TestQSeriesRing:
         assert QSeries(a.coeffs[:7]) == b
 
     def test_zero_and_one(self):
-        assert QSeries.zero(3).coeffs == (F(0), F(0), F(0), F(0))
         assert QSeries.one(3).coeffs == (F(1), F(0), F(0), F(0))
 
     def test_mul_matches_dense_product(self):

@@ -16,8 +16,9 @@ F-string message text is not mutated.  Every mutant is written into one
 temporary copy of the checkout this script sits in (``TMPDIR`` decides
 where) and judged by two detectors, one subprocess at a time:
 
-1. ``run_selfcheck()`` plus four strict ``sweep`` grids (both routes) at
-   r = 2 and, on proven degrees only, at r = 3;
+1. ``run_selfcheck()`` plus five ``sweep`` grids (both routes): four strict
+   ones with a = 1, at r = 2 and, on proven degrees only, at r = 3, and a
+   permissive one at r = 3, a = 2, the only grid where ch2 is not 0;
 2. the tier-1 test suite, on the mutants stage 1 left alive.
 
 A detector that fails, raises or runs past its time limit kills the
@@ -77,6 +78,8 @@ SWEEPS = [
     # r = 3 on proven degrees only: every divisor of w is 0 or 1 mod 3
     ["sweep", "-r", "3", "-d", "0", "-a", "1", "--w-list", "1,3,7,9,21,27,39,63,81", "--g", "2..3"],
     ["sweep", "-r", "3", "-d", "1", "-a", "1", "--w-list", "1,3,7,13,49,91", "--g", "2..3"],
+    # a = 2 is the only grid where ch2 != 0; none of its degrees is proven
+    ["sweep", "-r", "3", "-d", "1", "-a", "2", "--w-max", "40", "--g", "2..3", "--permissive"],
 ]
 
 STAGE1 = f"""
@@ -297,7 +300,7 @@ def main() -> int:
         "# Single-site mutation run over src/qminv/{" + ",".join(MODULES) + "}.py.",
         "# Regenerate with: python tools/mutate.py",
         f"score: {dead}/{total} killed ({100 * dead / total:.1f} %)",
-        f"stage 1 (run_selfcheck + strict sweeps at r = 2, 3): {killed[1]} killed",
+        f"stage 1 (run_selfcheck + sweeps at r = 2, 3 and a = 1, 2): {killed[1]} killed",
         f"stage 2 (tier-1 suite on the stage-1 survivors): {killed[2]} killed",
         f"survivors: {len(survivors)}, unexplained: {len(unexplained)}",
         "",
