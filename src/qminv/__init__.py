@@ -52,7 +52,6 @@ from .quotloc import (
     InvalidComponentError,
     WallComponent,
     component_residue_degree,
-    fixed_locus_decompositions,
     normal_bundle_inverse_expansion,
     quot_dimension,
     slice_euler_bruteforce,
@@ -85,7 +84,6 @@ __all__ = [
     "component_residue_degree",
     "degree_congruent",
     "divisors",
-    "fixed_locus_decompositions",
     "gw_moduli",
     "is_prime",
     "laurent_residue",

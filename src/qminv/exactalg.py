@@ -243,7 +243,7 @@ class EquivCoeff:
 
     def t_coeff(self, k: int) -> Fraction:
         """Coefficient of t**k in the scalar part."""
-        return self.scalar[k] if k <= T_CAP else _ZERO
+        return self.scalar[k] if 0 <= k <= T_CAP else _ZERO
 
     def integrate_omega(self, genus: int) -> "EquivCoeff":
         """Pair the omega part against the base curve: int omega = 2g - 2.

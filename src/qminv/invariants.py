@@ -219,6 +219,8 @@ def _series_identity(g: int, order: int, d: int) -> SeriesIdentity:
     side is (2-2g) * 2^(2g-1) * (U(q) -+ U(-q)), with the difference for
     odd d and the sum for even d.
     """
+    if g < 2:
+        raise ValueError(f"genus must be >= 2, got {g}")
     lhs_coeffs = [Fraction(0)] * (order + 1)
     for w in range(2 - d, order + 1, 2):
         query = InvariantQuery(r=2, d=d, a=1, w=w, g=g)

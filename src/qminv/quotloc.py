@@ -5,8 +5,8 @@ divisor m of w, each a Quot scheme of quotients of the unique stable
 bundle of rank r and degree a.  This module enumerates those components,
 computes their dimensions, stabilizer orders and slice Euler
 characteristics (the rank-0 quotient case by brute-force torus
-localization over all fixed-locus decompositions), and extracts each
-component's z-residue contribution.
+localization over all fixed-locus decompositions, each read off from its
+partial sums), and extracts each component's z-residue contribution.
 
 Two quotient classes are fully analysed: u = (0, k), where the slice
 Euler characteristic is r*k and the stabilizer has order r^2 k^2, and
@@ -22,8 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from operator import sub
-from typing import Iterator
 
 from .arith import (
     ChernClass,
@@ -72,38 +70,32 @@ def stabilizer_order(r: int, a: int, u: ChernClass) -> int:
     return torsion_order(dim)
 
 
-def fixed_locus_decompositions(r: int, u: ChernClass) -> Iterator[tuple[int, ...]]:
-    """All ordered degree vectors (k_1, ..., k_r), k_i >= 0, summing to k = deg(u).
+def slice_euler_bruteforce(r: int, u: ChernClass) -> int:
+    """Euler characteristic of the fixed-determinant slice for u = (0, k).
 
-    They are the decompositions u_1 + ... + u_r = u into classes (0, k_i),
-    read off from the partial sums s_1 <= ... <= s_{r-1} in [0, k].
+    Visits every fixed-locus decomposition u_1 + ... + u_r = u into classes
+    (0, k_i), k_i >= 0, read off from its partial sums s_1 <= ... <= s_{r-1}
+    in [0, k], and checks the total against the closed value r*k before
+    returning it.  A decomposition contributes zero as soon as two parts
+    are nonzero (the locus then carries a free translation action); it has
+    a single nonzero part, of degree k, exactly when every partial sum is
+    0 or k, and then contributes the Euler characteristic k of the
+    projective slice.
     """
     if u.rank != 0:
         raise ValueError(f"fixed-locus enumeration needs a rank-0 class, got rank {u.rank}")
     k = u.deg
     if k < 1:
         raise DegenerateQuotientError("quotient degree must be >= 1")
-    for sums in combinations_with_replacement(range(k + 1), r - 1):
-        yield tuple(map(sub, sums + (k,), (0,) + sums))
-
-
-def slice_euler_bruteforce(r: int, u: ChernClass) -> int:
-    """Euler characteristic of the fixed-determinant slice for u = (0, k).
-
-    Sums the contributions of every fixed-locus decomposition and checks
-    the total against the closed value r*k before returning it.  A
-    decomposition contributes zero as soon as two parts are nonzero (the
-    locus then carries a free translation action); a single nonzero part
-    k_i contributes the Euler characteristic k_i of the projective slice.
-    """
+    ends = {0, k}
     total = 0
-    for degs in fixed_locus_decompositions(r, u):
-        if degs.count(0) == r - 1:
-            total += max(degs)
-    if total != r * u.deg:
+    for sums in combinations_with_replacement(range(k + 1), r - 1):
+        if ends.issuperset(sums):
+            total += k
+    if total != r * k:
         raise RuntimeError(
-            f"fixed-locus enumeration for (r,k)=({r},{u.deg}) gave {total}, "
-            f"expected {r * u.deg}"
+            f"fixed-locus enumeration for (r,k)=({r},{k}) gave {total}, "
+            f"expected {r * k}"
         )
     return total
 

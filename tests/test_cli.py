@@ -363,6 +363,16 @@ class TestSeriesCommand:
         assert code == 0
         assert "PASS" in out
 
+    @pytest.mark.parametrize("genus", [1, 0])
+    def test_genus_below_two_is_invalid_at_every_order(self, capsys, genus):
+        # order 1 of identity B has no moduli-side term to reject the genus
+        code, out, err = run(
+            capsys, "series", "--identity", "B", "--genus", str(genus), "--order", "1"
+        )
+        assert code == 4
+        assert out == ""
+        assert err == f"invalid input: genus must be >= 2, got {genus}\n"
+
     def test_identity_a_high_genus(self, capsys):
         code, _, _ = run(
             capsys, "series", "--identity", "A", "--genus", "5", "--order", "50"

@@ -167,6 +167,11 @@ class TestEquivCoeff:
         assert x.t_coeff(T_CAP) == F(3)
         assert x.t_coeff(T_CAP + 1) == 0
 
+    @pytest.mark.parametrize("k", [-1, -3])
+    def test_negative_power_of_t_is_zero(self, k):
+        # a negative k must not index the scalar tuple from its end
+        assert EquivCoeff((1, 2, 3)).t_coeff(k) == 0
+
     def test_t_truncation_is_a_quotient_ring(self):
         t = EquivCoeff.t()
         cube = t * t * t

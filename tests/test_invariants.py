@@ -252,6 +252,8 @@ class TestInputChecks:
             (lambda: qm_elliptic_oracle(q2(0, 0)), ValueError, "needs w >= 1"),
             (lambda: normal_bundle_inverse_expansion(0, 1), DomainError, "divisor must be >= 1"),
             (lambda: normal_bundle_inverse_expansion(1, -1), InvalidComponentError, "dimension must be >= 0"),
+            # order 1 of the even identity has no moduli-side term to reject g
+            (lambda: series_identity_even(1, 1), ValueError, "genus must be >= 2, got 1"),
         ],
     )
     def test_rejected(self, call, error, message):

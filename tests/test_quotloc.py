@@ -7,6 +7,7 @@ from math import ceil, comb, gcd
 
 import pytest
 
+import qminv.quotloc as quotloc
 from qminv.arith import ChernClass, DomainError, InvariantQuery, canonical_u_choice
 from qminv.exactalg import EquivCoeff, laurent_residue
 from qminv.invariants import UnsupportedQueryError, qm_elliptic_oracle
@@ -14,7 +15,6 @@ from qminv.quotloc import (
     DegenerateQuotientError,
     InvalidComponentError,
     component_residue_degree,
-    fixed_locus_decompositions,
     normal_bundle_inverse_expansion,
     quot_dimension,
     slice_euler_bruteforce,
@@ -94,19 +94,30 @@ class TestSliceEuler:
         with pytest.raises(ValueError):
             slice_euler_bruteforce(2, ChernClass(1, 1))
 
-    def test_decomposition_count_and_contributions(self):
+    def test_decomposition_count_and_contributions(self, monkeypatch):
+        # the brute force visits each partial-sum tuple s_1 <= ... <= s_{r-1}
+        # in [0, k] once; only the r tuples with every s_i in {0, k} (one
+        # nonzero part) contribute, k each
         r, k = 3, 5
-        decompositions = list(fixed_locus_decompositions(r, ChernClass(0, k)))
-        assert len(decompositions) == comb(k + r - 1, r - 1)
-        assert len(set(decompositions)) == len(decompositions)
-        for degs in decompositions:
-            assert len(degs) == r and min(degs) >= 0 and sum(degs) == k
-        # the r single-part decompositions are the only contributing ones,
-        # each contributing its one nonzero degree k
-        single = sorted(d for d in decompositions if d.count(0) == r - 1)
-        assert single == sorted(
-            tuple(k if i == j else 0 for i in range(r)) for j in range(r)
-        )
+        visited = []
+
+        def recording(pool, n):
+            for sums in itertools.combinations_with_replacement(pool, n):
+                visited.append(sums)
+                yield sums
+
+        monkeypatch.setattr(quotloc, "combinations_with_replacement", recording)
+        assert slice_euler_bruteforce(r, ChernClass(0, k)) == r * k == 15
+        assert len(visited) == len(set(visited)) == comb(k + r - 1, r - 1)
+
+        def skip_first(pool, n):
+            # drops (0, 0): the decomposition whose last part is k
+            sums = itertools.combinations_with_replacement(pool, n)
+            return itertools.islice(sums, 1, None)
+
+        monkeypatch.setattr(quotloc, "combinations_with_replacement", skip_first)
+        with pytest.raises(RuntimeError, match="gave 10, expected 15"):
+            slice_euler_bruteforce(r, ChernClass(0, k))
 
 
 class TestProjectiveSliceEuler:
