@@ -25,7 +25,6 @@ from .exactalg import (
     EquivCoeff,
     InvalidTruncationError,
     QSeries,
-    ZLaurent,
     laurent_residue,
     series_log_product,
 )
@@ -78,7 +77,6 @@ __all__ = [
     "SeriesIdentity",
     "UnsupportedQueryError",
     "WallComponent",
-    "ZLaurent",
     "canonical_u_choice",
     "chi_pairing_elliptic",
     "component_residue_degree",

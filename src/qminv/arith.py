@@ -148,8 +148,8 @@ class InvariantQuery:
     w      quasimap degree (>= 0)
     g      genus of the base curve (>= 2)
     u_choice  universal-family normalisation; must pair to 1 against
-              (r, a).  Defaults to (1, 0) when a = 1; for other a the
-              caller must supply it (``canonical_u_choice`` builds one).
+              (r, a).  Defaults to ``canonical_u_choice(r, a)``, which is
+              (1, 0) when a = 1.
     """
 
     r: int
@@ -168,15 +168,10 @@ class InvariantQuery:
             raise ValueError(f"quasimap degree must be >= 0, got {self.w}")
         if not 0 <= self.a < self.r:
             raise ValueError(f"a must lie in [0, {self.r}), got {self.a}")
+        if self.u_choice is None:
+            object.__setattr__(self, "u_choice", canonical_u_choice(self.r, self.a))
         if math.gcd(self.r, self.a) != 1:
             raise ValueError(f"gcd(r, a) must be 1, got ({self.r}, {self.a})")
-        if self.u_choice is None:
-            if self.a != 1:
-                raise ValueError(
-                    "u_choice is required when a != 1; "
-                    "canonical_u_choice(r, a) constructs a valid one"
-                )
-            object.__setattr__(self, "u_choice", ChernClass(1, 0))
         if chi_pairing_elliptic(ChernClass(self.r, self.a), self.u_choice) != 1:
             raise ValueError(
                 f"u_choice=({self.u_choice.rank},{self.u_choice.deg}) does not "

@@ -29,7 +29,7 @@ import json
 import os
 import sys
 
-from .arith import InvariantQuery, canonical_u_choice
+from .arith import InvariantQuery
 from .invariants import (
     ROUTE_CLOSED,
     ROUTE_ORACLE,
@@ -86,10 +86,6 @@ def _emit(args, items) -> dict:
     return record
 
 
-def _u_choice(args):
-    return None if args.deg_a == 1 else canonical_u_choice(args.rank, args.deg_a)
-
-
 def _result_for(query: InvariantQuery, route: str, side: str, strict: bool):
     if side == "moduli":
         return qm_moduli(query, route=route, strict=strict)
@@ -99,8 +95,7 @@ def _result_for(query: InvariantQuery, route: str, side: str, strict: bool):
 
 def _cmd_invariant(args) -> int:
     query = InvariantQuery(
-        r=args.rank, d=args.deg_d, a=args.deg_a, w=args.degree_w, g=args.genus,
-        u_choice=_u_choice(args),
+        r=args.rank, d=args.deg_d, a=args.deg_a, w=args.degree_w, g=args.genus
     )
     routes = {"closed": (ROUTE_CLOSED,), "oracle": (ROUTE_ORACLE,), "both": (ROUTE_CLOSED, ROUTE_ORACLE)}[args.route]
     if query.w == 0:
@@ -210,13 +205,10 @@ def _sweep(args):
         ws = [int(part) for part in args.w_list.split(",") if part]
     else:
         ws = list(range(1, args.w_max + 1))
-    u = _u_choice(args)
     total = agree = conjectural = 0
     for g in genera:
         for w in ws:
-            query = InvariantQuery(
-                r=args.rank, d=args.deg_d, a=args.deg_a, w=w, g=g, u_choice=u
-            )
+            query = InvariantQuery(r=args.rank, d=args.deg_d, a=args.deg_a, w=w, g=g)
             closed = qm_elliptic_closed(query, strict=strict)
             oracle = qm_elliptic_oracle(query, strict=strict)
             point_agree = closed.value_t == oracle.value_t
@@ -315,6 +307,10 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    # exact values may pass CPython's 4300-digit limit on int-to-str
+    # conversion; the limit does not exist before Python 3.10.7
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -1,7 +1,7 @@
 """Exact scalar, power-series and graded-coefficient arithmetic.
 
 Everything in this package is computed over exact rationals; no floating
-point is used anywhere.  Three small coefficient rings live here:
+point is used anywhere.  Two small coefficient rings live here:
 
 * ``QSeries`` -- truncated formal power series in ``q`` over ``Fraction``,
   used for the generating-series identities.
@@ -11,9 +11,10 @@ point is used anywhere.  Three small coefficient rings live here:
   curve and ``t`` is the equivariant weight of the scaling torus.
   Integrating out ``omega`` against the base curve is an explicit,
   separate operation.
-* ``ZLaurent`` -- finite Laurent tails in the localisation variable ``z``
-  with ``EquivCoeff`` coefficients, kept from ``z**Z_FLOOR`` up; the
-  residue is the ``z**-1`` entry.
+
+An expansion in the localisation variable ``z`` is a plain ``dict`` from
+exponent to ``EquivCoeff``; its producer decides which terms it holds,
+and ``laurent_residue`` reads the ``z**-1`` entry.
 
 Values are coerced to ``Fraction`` once, on entry; arithmetic on
 ``Fraction`` coefficients never coerces its own results again.  Zero
@@ -30,10 +31,6 @@ from fractions import Fraction
 # The residue engine's ring: t-polynomials are cut above t**T_CAP.  The
 # invariants live in t-degree <= 1; degree 2 keeps one spare slot.
 T_CAP = 2
-
-# Powers of z below Z_FLOOR never contribute: the wall-crossing base is a
-# curve, so anything past z**-2 dies against the point class.
-Z_FLOOR = -2
 
 _ZERO = Fraction(0)
 _ZERO_POLY = (_ZERO,) * (T_CAP + 1)
@@ -194,7 +191,7 @@ class EquivCoeff:
 
     @classmethod
     def zero(cls) -> "EquivCoeff":
-        return cls._of(_ZERO_POLY, _ZERO_POLY)
+        return _ZERO_COEFF
 
     @classmethod
     def one(cls) -> "EquivCoeff":
@@ -257,38 +254,12 @@ class EquivCoeff:
 
 # Shared constants: EquivCoeff is frozen, so one instance of each serves
 # every caller.
+_ZERO_COEFF = EquivCoeff()
 _ONE = EquivCoeff((1,))
 _T = EquivCoeff((0, 1))
 _OMEGA = EquivCoeff((), (1,))
 
 
-class ZLaurent:
-    """Finite Laurent tail in z over ``EquivCoeff``.
-
-    Exponents below ``Z_FLOOR`` and zero coefficients are dropped on
-    construction.  The residue is the coefficient of ``z**-1``.
-    """
-
-    __slots__ = ("_terms",)
-
-    def __init__(self, terms):
-        self._terms = {
-            int(exponent): coeff
-            for exponent, coeff in sorted(dict(terms).items())
-            if exponent >= Z_FLOOR and not coeff.is_zero()
-        }
-
-    def exponents(self) -> list[int]:
-        return list(self._terms)
-
-    def coefficient(self, exponent: int) -> EquivCoeff:
-        return self._terms.get(exponent, EquivCoeff.zero())
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"z^{e}: {c}" for e, c in self._terms.items())
-        return f"ZLaurent({{{inner}}})"
-
-
-def laurent_residue(f: ZLaurent) -> EquivCoeff:
-    """Coefficient of z**-1; the zero element if there is no simple pole."""
-    return f.coefficient(-1)
+def laurent_residue(f: dict[int, EquivCoeff]) -> EquivCoeff:
+    """Coefficient of z**-1 in a z-expansion; the zero element without a pole."""
+    return f.get(-1, _ZERO_COEFF)

@@ -31,7 +31,7 @@ from .arith import (
     divisors,
     torsion_order,
 )
-from .exactalg import EquivCoeff, ZLaurent, laurent_residue
+from .exactalg import EquivCoeff, laurent_residue
 
 
 class InvalidComponentError(ValueError):
@@ -100,13 +100,14 @@ def slice_euler_bruteforce(r: int, u: ChernClass) -> int:
     return total
 
 
-def normal_bundle_inverse_expansion(m: int, dim: int) -> ZLaurent:
+def normal_bundle_inverse_expansion(m: int, dim: int) -> dict[int, EquivCoeff]:
     """Inverse equivariant Euler class of a component's virtual normal bundle.
 
     The z-expansion starts 1 + (-m z)^{-1} c_1 + ..., where the first
-    Chern class of the twisted Hom complex is dim * (omega - t); terms at
-    z^-2 and below are discarded (the base is a curve, so they cannot
-    contribute to any degree).
+    Chern class of the twisted Hom complex is dim * (omega - t).  Only the
+    z^0 and z^-1 terms are built, as ``{0: 1, -1: -c_1/m}`` (no -1 key
+    when dim = 0): terms at z^-2 and below cannot contribute to any degree,
+    because the base is a curve.
     """
     if m < 1:
         raise DomainError(f"divisor must be >= 1, got {m}")
@@ -116,7 +117,7 @@ def normal_bundle_inverse_expansion(m: int, dim: int) -> ZLaurent:
     if dim:
         c1 = (EquivCoeff.omega() - EquivCoeff.t()).scale(dim)
         terms[-1] = c1.scale(Fraction(-1, m))
-    return ZLaurent(terms)
+    return terms
 
 
 @dataclass(frozen=True)

@@ -168,9 +168,10 @@ class TestInvariantQuery:
         q = InvariantQuery(r=2, d=1, a=1, w=3, g=2)
         assert q.u_choice == ChernClass(1, 0)
 
-    def test_u_choice_required_otherwise(self):
-        with pytest.raises(ValueError, match="u_choice is required"):
-            InvariantQuery(r=5, d=1, a=2, w=4, g=2)
+    def test_default_u_choice_is_canonical(self):
+        for r, a in ((3, 2), (5, 2), (5, 3), (5, 4), (7, 3), (9, 4)):
+            q = InvariantQuery(r=r, d=1, a=a, w=4, g=2)
+            assert q.u_choice == canonical_u_choice(r, a)
 
     def test_rejects_bad_pairing(self):
         with pytest.raises(ValueError, match="pair to 1"):

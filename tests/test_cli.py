@@ -12,8 +12,8 @@ import pytest
 import qminv.cli as cli
 import qminv.quotloc as quotloc
 import qminv.selfcheck as selfcheck
-from qminv.exactalg import ZLaurent
-from qminv.invariants import InvariantResult, ROUTE_CLOSED
+from qminv.arith import InvariantQuery
+from qminv.invariants import InvariantResult, ROUTE_CLOSED, qm_moduli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -115,6 +115,32 @@ class TestInvariantCommand:
         assert err == (
             "invalid input: --decimal: value is too large for a float approximation\n"
         )
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"),
+        reason="no int-to-str digit limit before Python 3.10.7",
+    )
+    def test_value_longer_than_int_str_limit(self):
+        # 14398 * 2^14400 has 4339 digits, past CPython's default limit of
+        # 4300 digits for converting an int to a string
+        proc = subprocess.run(
+            [sys.executable, "-m", "qminv.cli", "invariant", "-r", "2", "-d", "1", "-a", "1",
+             "-w", "1", "-g", "7200", "--side", "moduli", "--format", "json"],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        value = json.loads(proc.stdout)["value"]
+        expected = qm_moduli(InvariantQuery(r=2, d=1, a=1, w=1, g=7200)).value_t
+        default_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            assert len(value) == 4339
+            assert value == str(expected)
+        finally:
+            sys.set_int_max_str_digits(default_limit)
 
     def test_raw_flag(self, capsys):
         _, out, _ = run(
@@ -278,6 +304,17 @@ class TestExitCodes:
                 "the rank 4 is not prime\n"
             )
 
+    def test_permissive_moduli_side_needs_prime_rank(self, capsys):
+        # --permissive lifts the proven-set gate, but the moduli-side
+        # correspondence itself is only stated for a prime rank
+        code, out, err = run(
+            capsys,
+            "invariant", "-r", "4", "-d", "1", "-a", "1", "-w", "1", "-g", "2",
+            "--side", "moduli", "--permissive",
+        )
+        assert (code, out) == (3, "")
+        assert err == "unsupported query: moduli-side correspondence needs a prime rank, got 4\n"
+
     def test_unsupported_off_congruence(self, capsys):
         # w = 5 != d*a mod 3: the moduli space is empty, but the query is
         # still outside the proven set, on every route
@@ -311,7 +348,7 @@ def _double_stabilizer(original):
 def _negate_pole(original):
     def perturbed(m, dim):
         f = original(m, dim)
-        return ZLaurent({0: f.coefficient(0), -1: -f.coefficient(-1)})
+        return {0: f[0], -1: -f[-1]}
 
     return perturbed
 

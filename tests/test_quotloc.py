@@ -139,7 +139,7 @@ class TestProjectiveSliceEuler:
 class TestNormalBundleExpansion:
     def test_unit_divisor(self):
         f = normal_bundle_inverse_expansion(1, 1)
-        assert f.coefficient(0) == EquivCoeff.one()
+        assert f[0] == EquivCoeff.one()
         assert laurent_residue(f) == EquivCoeff.t() - EquivCoeff.omega()
 
     def test_divisor_three(self):
@@ -149,14 +149,14 @@ class TestNormalBundleExpansion:
 
     def test_rank_zero_class(self):
         f = normal_bundle_inverse_expansion(1, 0)
-        assert f.exponents() == [0]
+        assert sorted(f) == [0]
         assert laurent_residue(f).is_zero()
 
     def test_general_shape(self):
         for m in (1, 2, 5):
             for dim in (1, 3, 7):
                 f = normal_bundle_inverse_expansion(m, dim)
-                assert f.exponents() == [-1, 0]
+                assert sorted(f) == [-1, 0]
                 expected = (EquivCoeff.omega() - EquivCoeff.t()).scale(F(-dim, m))
                 assert laurent_residue(f) == expected
 
