@@ -205,6 +205,10 @@ def _sweep(args):
         ws = [int(part) for part in args.w_list.split(",") if part]
     else:
         ws = list(range(1, args.w_max + 1))
+    # validate r, d, a and every genus before the first point, so that an
+    # empty degree range cannot pass an invalid query
+    for g in genera:
+        InvariantQuery(r=args.rank, d=args.deg_d, a=args.deg_a, w=0, g=g)
     total = agree = conjectural = 0
     for g in genera:
         for w in ws:

@@ -1,16 +1,16 @@
 """Exact scalar, power-series and graded-coefficient arithmetic.
 
 Everything in this package is computed over exact rationals; no floating
-point is used anywhere.  Two small coefficient rings live here:
+point is used anywhere.  Two coefficient types live here:
 
 * ``QSeries`` -- truncated formal power series in ``q`` over ``Fraction``,
   used for the generating-series identities.
-* ``EquivCoeff`` -- elements ``s(t) + o(t)*omega`` of the one ring the
-  residue engine uses, Q[t]/(t**3) (x) Q[omega]/(omega**2), where ``omega``
-  stands for the first Chern class of the canonical bundle of the base
-  curve and ``t`` is the equivariant weight of the scaling torus.
-  Integrating out ``omega`` against the base curve is an explicit,
-  separate operation.
+* ``EquivCoeff`` -- the residue engine's coefficients ``s(t) + o(t)*omega``
+  with ``s`` and ``o`` linear in ``t``, where ``omega`` stands for the
+  first Chern class of the canonical bundle of the base curve and ``t``
+  is the equivariant weight of the scaling torus.  They are added,
+  negated and scaled, never multiplied; the caller pairs the ``omega``
+  slot against the base curve.
 
 An expansion in the localisation variable ``z`` is a plain ``dict`` from
 exponent to ``EquivCoeff``; its producer decides which terms it holds,
@@ -28,12 +28,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-# The residue engine's ring: t-polynomials are cut above t**T_CAP.  The
-# invariants live in t-degree <= 1; degree 2 keeps one spare slot.
-T_CAP = 2
+# The residue engine's t-polynomials are cut above t**T_CAP.  The
+# invariants live in t-degree <= 1, and no operation raises the degree.
+T_CAP = 1
 
 _ZERO = Fraction(0)
-_ZERO_POLY = (_ZERO,) * (T_CAP + 1)
 
 
 class InvalidTruncationError(ValueError):
@@ -154,28 +153,17 @@ def _tpoly_scale(c: Fraction, poly) -> tuple[Fraction, ...]:
     return tuple(c * v if v else v for v in poly)
 
 
-def _tpoly_mul(a, b) -> tuple[Fraction, ...]:
-    out = [_ZERO] * (T_CAP + 1)
-    for i, ai in enumerate(a):
-        if not ai:
-            continue
-        for j in range(T_CAP + 1 - i):
-            if b[j]:
-                out[i + j] += ai * b[j]
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class EquivCoeff:
-    """Element ``scalar(t) + omega_part(t) * omega`` of Q[t]/(t**3) (x) Q[omega]/(omega**2).
+    """Residue coefficient ``scalar(t) + omega_part(t) * omega``.
 
-    There is no slot for ``omega**2``, so nilpotence holds by construction.
-    Both parts are tuples of ``T_CAP + 1`` coefficients; dropping t**3 is a
-    genuine quotient, so ring laws survive the truncation exactly.
+    Both parts are tuples of ``T_CAP + 1`` coefficients of ``t``; input
+    above ``t**T_CAP`` is dropped.  There is no slot for ``omega**2`` and
+    no product, so nothing can leave the two linear parts.
     """
 
-    scalar: tuple[Fraction, ...] = _ZERO_POLY
-    omega_part: tuple[Fraction, ...] = _ZERO_POLY
+    scalar: tuple[Fraction, ...] = ()
+    omega_part: tuple[Fraction, ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "scalar", _as_tpoly(self.scalar))
@@ -188,10 +176,6 @@ class EquivCoeff:
         object.__setattr__(self, "scalar", scalar)
         object.__setattr__(self, "omega_part", omega_part)
         return self
-
-    @classmethod
-    def zero(cls) -> "EquivCoeff":
-        return _ZERO_COEFF
 
     @classmethod
     def one(cls) -> "EquivCoeff":
@@ -220,36 +204,15 @@ class EquivCoeff:
             tuple(-v if v else v for v in self.omega_part),
         )
 
-    def __mul__(self, other: "EquivCoeff") -> "EquivCoeff":
-        return EquivCoeff._of(
-            _tpoly_mul(self.scalar, other.scalar),
-            _tpoly_add(
-                _tpoly_mul(self.scalar, other.omega_part),
-                _tpoly_mul(self.omega_part, other.scalar),
-            ),
-        )
-
     def scale(self, c) -> "EquivCoeff":
         c = _as_fraction(c)
         return EquivCoeff._of(
             _tpoly_scale(c, self.scalar), _tpoly_scale(c, self.omega_part)
         )
 
-    def is_zero(self) -> bool:
-        return not any(self.scalar) and not any(self.omega_part)
-
     def t_coeff(self, k: int) -> Fraction:
         """Coefficient of t**k in the scalar part."""
         return self.scalar[k] if 0 <= k <= T_CAP else _ZERO
-
-    def integrate_omega(self, genus: int) -> "EquivCoeff":
-        """Pair the omega part against the base curve: int omega = 2g - 2.
-
-        Returns a pure scalar (the omega slot of the result is zero); the
-        scalar part of the input does not survive integration.
-        """
-        factor = Fraction(2 * genus - 2)
-        return EquivCoeff._of(_tpoly_scale(factor, self.omega_part), _ZERO_POLY)
 
 
 # Shared constants: EquivCoeff is frozen, so one instance of each serves

@@ -315,6 +315,17 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err == "unsupported query: moduli-side correspondence needs a prime rank, got 4\n"
 
+    def test_permissive_constant_map_needs_prime_rank(self, capsys):
+        # --permissive lifts the proven-set gate, but the constant-map
+        # count at w = 0 has its own prime-rank rule
+        code, out, err = run(
+            capsys,
+            "invariant", "-r", "4", "-d", "0", "-a", "1", "-w", "0", "-g", "2",
+            "--permissive",
+        )
+        assert (code, out) == (3, "")
+        assert err == "unsupported query: constant-map count needs a prime rank, got 4\n"
+
     def test_unsupported_off_congruence(self, capsys):
         # w = 5 != d*a mod 3: the moduli space is empty, but the query is
         # still outside the proven set, on every route
@@ -477,6 +488,22 @@ class TestSweepCommand:
         assert code == 0
         assert "0/0 agree" in out
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["-r", "1", "-a", "1", "--w-max", "0", "--g", "1"], "rank must be >= 2, got 1"),
+            (["-r", "4", "-a", "2", "--w-max", "0", "--g", "2"], "no unit normalisation: gcd(4,2) != 1"),
+            (["-r", "2", "-a", "1", "--w-max", "0", "--g", "1"], "genus must be >= 2, got 1"),
+            # the bad genus comes last: no g = 3 point is printed first
+            (["-r", "2", "-a", "1", "--w-max", "3", "--g", "3,1"], "genus must be >= 2, got 1"),
+        ],
+        ids=["rank", "a", "genus", "genus-after-points"],
+    )
+    def test_query_is_validated_before_the_first_point(self, capsys, flags, message):
+        code, out, err = run(capsys, "sweep", "-d", "0", *flags)
+        assert (code, out) == (4, "")
+        assert err == f"invalid input: {message}\n"
+
     def test_empty_genus_range(self, capsys):
         code, out, err = run(
             capsys, "sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", "3", "--g", "5..2"
@@ -553,7 +580,7 @@ class TestSelfcheckCommand:
     def test_runs_green(self, capsys):
         code, out, _ = run(capsys, "selfcheck")
         assert code == 0
-        assert "12/12 checks passed" in out
+        assert "11/11 checks passed" in out
         assert "FAIL" not in out
 
     def test_crashing_check_is_reported(self, capsys, monkeypatch):

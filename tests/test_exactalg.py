@@ -125,45 +125,12 @@ class TestQSeriesRing:
 
 
 class TestEquivCoeff:
-    def test_unit_law(self):
-        x = EquivCoeff((3, 1), (F(1, 2), 2))
-        assert EquivCoeff.one() * x == x
-
-    def test_omega_squares_to_zero(self):
-        assert (EquivCoeff.omega() * EquivCoeff.omega()).is_zero()
-
-    def test_conjugate_product(self):
-        t, omega = EquivCoeff.t(), EquivCoeff.omega()
-        assert (t + omega) * (t - omega) == t * t
-
-    def test_distributivity_and_associativity(self):
-        samples = [
-            EquivCoeff.one(),
-            EquivCoeff.t(),
-            EquivCoeff.omega(),
-            EquivCoeff((1, -2), (F(1, 2),)),
-            EquivCoeff((0, 1), (-1, 1)),
-            EquivCoeff((F(2, 3),), (0, F(-3, 4))),
-        ]
-        for a in samples:
-            for b in samples:
-                assert a * b == b * a
-                for c in samples:
-                    assert (a * b) * c == a * (b * c)
-                    assert a * (b + c) == a * b + a * c
-
-    def test_integrate_omega(self):
-        x = EquivCoeff((5, 7), (F(1, 3), -1))
-        paired = x.integrate_omega(3)
-        assert paired.omega_part == (F(0), F(0), F(0))
-        assert paired.t_coeff(0) == F(4, 3)
-        assert paired.t_coeff(1) == F(-4)
-
     def test_input_above_t_cap_is_dropped(self):
         x = EquivCoeff((1, 2, 3, 4, 5), (6, 7, 8, 9))
-        assert x.scalar == (F(1), F(2), F(3))
-        assert x.omega_part == (F(6), F(7), F(8))
-        assert x.t_coeff(T_CAP) == F(3)
+        assert x.scalar == (F(1), F(2))
+        assert x.omega_part == (F(6), F(7))
+        assert x.t_coeff(0) == F(1)
+        assert x.t_coeff(T_CAP) == F(2)
         assert x.t_coeff(T_CAP + 1) == 0
 
     @pytest.mark.parametrize("k", [-1, -3])
@@ -171,14 +138,9 @@ class TestEquivCoeff:
         # a negative k must not index the scalar tuple from its end
         assert EquivCoeff((1, 2, 3)).t_coeff(k) == 0
 
-    def test_t_truncation_is_a_quotient_ring(self):
-        t = EquivCoeff.t()
-        cube = t * t * t
-        assert cube.is_zero()
-
 
 class TestSparseEquivCoeff:
-    """The ring operations skip zero slots; a dense reference checks them.
+    """The arithmetic skips zero slots; a dense reference checks them.
 
     The reference below does every slot's arithmetic, zero or not, on plain
     lists.  Inputs are mostly zero, mix ``int`` and ``Fraction`` slots and
@@ -192,14 +154,6 @@ class TestSparseEquivCoeff:
         return [F(v) for v in x.scalar], [F(v) for v in x.omega_part]
 
     @classmethod
-    def dense_mul(cls, a, b):
-        out = [F(0)] * cls.N
-        for i in range(cls.N):
-            for j in range(cls.N - i):
-                out[i + j] += a[i] * b[j]
-        return out
-
-    @classmethod
     def reference(cls, op, x, y, c):
         (xs, xo), (ys, yo) = cls.dense(x), cls.dense(y)
         if op == "add":
@@ -208,9 +162,6 @@ class TestSparseEquivCoeff:
             return [a - b for a, b in zip(xs, ys)], [a - b for a, b in zip(xo, yo)]
         if op == "neg":
             return [-a for a in xs], [-a for a in xo]
-        if op == "mul":
-            cross = zip(cls.dense_mul(xs, yo), cls.dense_mul(xo, ys))
-            return cls.dense_mul(xs, ys), [a + b for a, b in cross]
         return [F(c) * a for a in xs], [F(c) * a for a in xo]
 
     def test_zero_skipping_matches_dense_reference(self):
@@ -230,7 +181,6 @@ class TestSparseEquivCoeff:
             "add": lambda x, y, c: x + y,
             "sub": lambda x, y, c: x - y,
             "neg": lambda x, y, c: -x,
-            "mul": lambda x, y, c: x * y,
             "scale": lambda x, y, c: x.scale(c),
         }
 
@@ -242,14 +192,12 @@ class TestSparseEquivCoeff:
             for slots in (result.scalar, result.omega_part):
                 assert len(slots) == self.N
                 assert all(type(v) is F for v in slots)
-            assert (x - x).is_zero() and (x + -x) == EquivCoeff.zero()
+            assert (x - x) == EquivCoeff() and (x + -x) == EquivCoeff()
 
         check()
 
     def test_shared_constants(self):
         assert EquivCoeff.one() is EquivCoeff.one()
-        assert EquivCoeff.zero() is EquivCoeff.zero()
-        assert EquivCoeff.zero() == EquivCoeff()
         assert EquivCoeff.one() == EquivCoeff((1,))
         assert EquivCoeff.t() == EquivCoeff((0, 1))
         assert EquivCoeff.omega() == EquivCoeff((), (1,))
@@ -263,7 +211,7 @@ class TestLaurentResidue:
 
     def test_no_pole_gives_zero(self):
         f = {0: EquivCoeff((5,))}
-        assert laurent_residue(f).is_zero()
+        assert laurent_residue(f) == EquivCoeff()
 
     def test_geometric_expansion_residue(self):
         # sum_k (-m z)^(-k) c_k with c_0 = 1, c_1 = c has residue -c/m
