@@ -197,16 +197,25 @@ def _parse_genus_range(text: str) -> list[int]:
     return genera
 
 
+def _sweep_degrees(args) -> list[int]:
+    if args.w_list is None:
+        if args.w_max < 0:
+            raise ValueError(f"--w-max must be >= 0, got {args.w_max}")
+        return list(range(1, args.w_max + 1))
+    ws = [int(part) for part in args.w_list.split(",") if part]
+    for w in ws:
+        if w < 1:
+            raise ValueError(f"sweep degrees must be >= 1, got {w}")
+    return ws
+
+
 def _sweep(args):
     """Yield (record, table text) for each grid point as it is computed, then the summary."""
     strict = not args.permissive
     genera = _parse_genus_range(args.g)
-    if args.w_list is not None:
-        ws = [int(part) for part in args.w_list.split(",") if part]
-    else:
-        ws = list(range(1, args.w_max + 1))
-    # validate r, d, a and every genus before the first point, so that an
-    # empty degree range cannot pass an invalid query
+    ws = _sweep_degrees(args)
+    # validate r, d, a and every genus before the first point too, so that
+    # an empty degree range cannot pass an invalid query
     for g in genera:
         InvariantQuery(r=args.rank, d=args.deg_d, a=args.deg_a, w=0, g=g)
     total = agree = conjectural = 0

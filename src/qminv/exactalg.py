@@ -8,9 +8,10 @@ point is used anywhere.  Two coefficient types live here:
 * ``EquivCoeff`` -- the residue engine's coefficients ``s(t) + o(t)*omega``
   with ``s`` and ``o`` linear in ``t``, where ``omega`` stands for the
   first Chern class of the canonical bundle of the base curve and ``t``
-  is the equivariant weight of the scaling torus.  They are added,
-  negated and scaled, never multiplied; the caller pairs the ``omega``
-  slot against the base curve.
+  is the equivariant weight of the scaling torus.  A coefficient is
+  written as a literal and only ever scaled; the caller reads its slots
+  (``scalar[1]`` is the ``t`` coefficient, ``omega_part[0]`` the
+  ``omega`` one).
 
 An expansion in the localisation variable ``z`` is a plain ``dict`` from
 exponent to ``EquivCoeff``; its producer decides which terms it holds,
@@ -18,8 +19,9 @@ and ``laurent_residue`` reads the ``z**-1`` entry.
 
 Values are coerced to ``Fraction`` once, on entry; arithmetic on
 ``Fraction`` coefficients never coerces its own results again.  Zero
-slots are passed through without arithmetic: a sum, product or scaling
-builds a new ``Fraction`` only where a nonzero value needs one.
+slots are passed through without arithmetic: ``EquivCoeff.scale`` and
+the ``QSeries`` product build a new ``Fraction`` only where a nonzero
+value needs one.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 # The residue engine's t-polynomials are cut above t**T_CAP.  The
-# invariants live in t-degree <= 1, and no operation raises the degree.
+# invariants live in t-degree <= 1, and scaling never raises the degree.
 T_CAP = 1
 
 _ZERO = Fraction(0)
@@ -145,10 +147,6 @@ def _as_tpoly(value) -> tuple[Fraction, ...]:
     return poly + (_ZERO,) * (T_CAP + 1 - len(poly))
 
 
-def _tpoly_add(a, b) -> tuple[Fraction, ...]:
-    return tuple(x + y if x and y else x or y for x, y in zip(a, b))
-
-
 def _tpoly_scale(c: Fraction, poly) -> tuple[Fraction, ...]:
     return tuple(c * v if v else v for v in poly)
 
@@ -158,8 +156,8 @@ class EquivCoeff:
     """Residue coefficient ``scalar(t) + omega_part(t) * omega``.
 
     Both parts are tuples of ``T_CAP + 1`` coefficients of ``t``; input
-    above ``t**T_CAP`` is dropped.  There is no slot for ``omega**2`` and
-    no product, so nothing can leave the two linear parts.
+    above ``t**T_CAP`` is dropped.  The only operation is ``scale``, so
+    nothing can leave the two linear parts.
     """
 
     scalar: tuple[Fraction, ...] = ()
@@ -177,50 +175,15 @@ class EquivCoeff:
         object.__setattr__(self, "omega_part", omega_part)
         return self
 
-    @classmethod
-    def one(cls) -> "EquivCoeff":
-        return _ONE
-
-    @classmethod
-    def t(cls) -> "EquivCoeff":
-        return _T
-
-    @classmethod
-    def omega(cls) -> "EquivCoeff":
-        return _OMEGA
-
-    def __add__(self, other: "EquivCoeff") -> "EquivCoeff":
-        return EquivCoeff._of(
-            _tpoly_add(self.scalar, other.scalar),
-            _tpoly_add(self.omega_part, other.omega_part),
-        )
-
-    def __sub__(self, other: "EquivCoeff") -> "EquivCoeff":
-        return self + (-other)
-
-    def __neg__(self) -> "EquivCoeff":
-        return EquivCoeff._of(
-            tuple(-v if v else v for v in self.scalar),
-            tuple(-v if v else v for v in self.omega_part),
-        )
-
     def scale(self, c) -> "EquivCoeff":
         c = _as_fraction(c)
         return EquivCoeff._of(
             _tpoly_scale(c, self.scalar), _tpoly_scale(c, self.omega_part)
         )
 
-    def t_coeff(self, k: int) -> Fraction:
-        """Coefficient of t**k in the scalar part."""
-        return self.scalar[k] if 0 <= k <= T_CAP else _ZERO
 
-
-# Shared constants: EquivCoeff is frozen, so one instance of each serves
-# every caller.
+# EquivCoeff is frozen, so one zero serves every residue without a pole.
 _ZERO_COEFF = EquivCoeff()
-_ONE = EquivCoeff((1,))
-_T = EquivCoeff((0, 1))
-_OMEGA = EquivCoeff((), (1,))
 
 
 def laurent_residue(f: dict[int, EquivCoeff]) -> EquivCoeff:

@@ -100,6 +100,12 @@ def slice_euler_bruteforce(r: int, u: ChernClass) -> int:
     return total
 
 
+# The z^0 term, and c_1 per unit of dimension: omega - t.  Both are frozen,
+# so every expansion shares them.
+_ONE = EquivCoeff((1,))
+_C1_UNIT = EquivCoeff((0, -1), (1,))
+
+
 def normal_bundle_inverse_expansion(m: int, dim: int) -> dict[int, EquivCoeff]:
     """Inverse equivariant Euler class of a component's virtual normal bundle.
 
@@ -107,16 +113,16 @@ def normal_bundle_inverse_expansion(m: int, dim: int) -> dict[int, EquivCoeff]:
     Chern class of the twisted Hom complex is dim * (omega - t).  Only the
     z^0 and z^-1 terms are built, as ``{0: 1, -1: -c_1/m}`` (no -1 key
     when dim = 0): terms at z^-2 and below cannot contribute to any degree,
-    because the base is a curve.
+    because the base is a curve.  The pole is one scaling of ``_C1_UNIT``
+    by -dim/m.
     """
     if m < 1:
         raise DomainError(f"divisor must be >= 1, got {m}")
     if dim < 0:
         raise InvalidComponentError(f"dimension must be >= 0, got {dim}")
-    terms = {0: EquivCoeff.one()}
+    terms = {0: _ONE}
     if dim:
-        c1 = (EquivCoeff.omega() - EquivCoeff.t()).scale(dim)
-        terms[-1] = c1.scale(Fraction(-1, m))
+        terms[-1] = _C1_UNIT.scale(Fraction(-dim, m))
     return terms
 
 
@@ -189,4 +195,4 @@ def component_residue_degree(component: WallComponent, genus: int) -> Fraction:
         normal_bundle_inverse_expansion(component.divisor, component.dim)
     )
     euler_ratio = Fraction(component.slice_euler, component.stab_order)
-    return residue.t_coeff(1) * (2 * genus - 2) * euler_ratio
+    return residue.scalar[1] * (2 * genus - 2) * euler_ratio

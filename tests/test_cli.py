@@ -13,6 +13,7 @@ import qminv.cli as cli
 import qminv.quotloc as quotloc
 import qminv.selfcheck as selfcheck
 from qminv.arith import InvariantQuery
+from qminv.exactalg import EquivCoeff
 from qminv.invariants import InvariantResult, ROUTE_CLOSED, qm_moduli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -359,7 +360,7 @@ def _double_stabilizer(original):
 def _negate_pole(original):
     def perturbed(m, dim):
         f = original(m, dim)
-        return {0: f[0], -1: -f[-1]}
+        return {0: f[0], -1: f[-1].scale(-1)}
 
     return perturbed
 
@@ -376,6 +377,8 @@ class TestOracleCanDisagree:
         [
             ("stabilizer_order", _double_stabilizer, "3", "1"),
             ("normal_bundle_inverse_expansion", _negate_pole, "3", "1"),
+            # c_1 per unit of dimension is omega + t in place of omega - t
+            ("_C1_UNIT", lambda original: EquivCoeff((0, 1), (1,)), "3", "1"),
             # w = 6 has a rank-0 component; at w = 3 the brute force never runs
             ("slice_euler_bruteforce", _shift_slice_euler, "6", "0"),
         ],
@@ -496,8 +499,12 @@ class TestSweepCommand:
             (["-r", "2", "-a", "1", "--w-max", "0", "--g", "1"], "genus must be >= 2, got 1"),
             # the bad genus comes last: no g = 3 point is printed first
             (["-r", "2", "-a", "1", "--w-max", "3", "--g", "3,1"], "genus must be >= 2, got 1"),
+            # the bad degree comes last: no w = 1 point is printed first
+            (["-r", "2", "-a", "1", "--w-list", "1,-1", "--g", "2"], "sweep degrees must be >= 1, got -1"),
+            (["-r", "2", "-a", "1", "--w-list", "1,0", "--g", "2"], "sweep degrees must be >= 1, got 0"),
+            (["-r", "2", "-a", "1", "--w-max", "-3", "--g", "2"], "--w-max must be >= 0, got -3"),
         ],
-        ids=["rank", "a", "genus", "genus-after-points"],
+        ids=["rank", "a", "genus", "genus-after-points", "w-list-negative", "w-list-zero", "w-max-negative"],
     )
     def test_query_is_validated_before_the_first_point(self, capsys, flags, message):
         code, out, err = run(capsys, "sweep", "-d", "0", *flags)

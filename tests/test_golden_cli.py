@@ -123,6 +123,8 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
     "sweep_exit3_strict_partial": (
         ["sweep", "-r", "3", "-d", "1", "-a", "1", "--w-list", "1,4", "--g", "2"], {}),
     "sweep_exit4_usage": (["sweep", "-r", "2", "-d", "1", "-a", "1", "--g", "2"], {}),
+    "sweep_exit4_w_list_zero": (["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-list", "1,0", "--g", "2"], {}),
+    "sweep_exit4_negative_w_max": (["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", "-3", "--g", "2"], {}),
     "selfcheck": (["selfcheck"], {}),
 }
 
