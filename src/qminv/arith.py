@@ -11,7 +11,7 @@ subgroup orders E[n] = n^2.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 
@@ -67,12 +67,10 @@ def torsion_order(n: int) -> int:
     return n * n
 
 
-@dataclass(frozen=True)
-class ChernClass:
+class ChernClass(namedtuple("ChernClass", "rank deg")):
     """(rank, degree) component pair of an even cohomology class on E."""
 
-    rank: int
-    deg: int
+    __slots__ = ()
 
 
 def chi_pairing_elliptic(v: ChernClass, u: ChernClass) -> int:
@@ -84,8 +82,7 @@ def chi_pairing_elliptic(v: ChernClass, u: ChernClass) -> int:
     return v.rank * u.deg + v.deg * u.rank
 
 
-@dataclass(frozen=True)
-class BaseDegrees:
+class BaseDegrees(namedtuple("BaseDegrees", "c1 ch2")):
     """Base-direction Chern data of the sheaf attached to a quasisection.
 
     c1 is the first-Chern component along the base curve (its residue
@@ -93,8 +90,7 @@ class BaseDegrees:
     character component.
     """
 
-    c1: int
-    ch2: int
+    __slots__ = ()
 
 
 def solve_base_degrees(r: int, a: int, w: int, u: ChernClass) -> BaseDegrees:
@@ -138,9 +134,8 @@ def canonical_u_choice(r: int, a: int) -> ChernClass:
     return ChernClass(u1, u2)
 
 
-@dataclass(frozen=True)
-class InvariantQuery:
-    """A validated invariant request.
+class InvariantQuery(namedtuple("InvariantQuery", "r d a w g u_choice")):
+    """A validated invariant request; ``_replace`` and ``_make`` validate too.
 
     r      rank (>= 2)
     d      degree on the base curve; only its residue mod r enters
@@ -152,31 +147,30 @@ class InvariantQuery:
               (1, 0) when a = 1.
     """
 
-    r: int
-    d: int
-    a: int
-    w: int
-    g: int
-    u_choice: ChernClass | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.r < 2:
-            raise ValueError(f"rank must be >= 2, got {self.r}")
-        if self.g < 2:
-            raise ValueError(f"genus must be >= 2, got {self.g}")
-        if self.w < 0:
-            raise ValueError(f"quasimap degree must be >= 0, got {self.w}")
-        if not 0 <= self.a < self.r:
-            raise ValueError(f"a must lie in [0, {self.r}), got {self.a}")
-        if self.u_choice is None:
-            object.__setattr__(self, "u_choice", canonical_u_choice(self.r, self.a))
-        if math.gcd(self.r, self.a) != 1:
-            raise ValueError(f"gcd(r, a) must be 1, got ({self.r}, {self.a})")
-        if chi_pairing_elliptic(ChernClass(self.r, self.a), self.u_choice) != 1:
+    def __new__(cls, r: int, d: int, a: int, w: int, g: int, u_choice: ChernClass | None = None):
+        if r < 2:
+            raise ValueError(f"rank must be >= 2, got {r}")
+        if g < 2:
+            raise ValueError(f"genus must be >= 2, got {g}")
+        if w < 0:
+            raise ValueError(f"quasimap degree must be >= 0, got {w}")
+        if not 0 <= a < r:
+            raise ValueError(f"a must lie in [0, {r}), got {a}")
+        if u_choice is None:
+            u_choice = canonical_u_choice(r, a)
+        if math.gcd(r, a) != 1:
+            raise ValueError(f"gcd(r, a) must be 1, got ({r}, {a})")
+        if chi_pairing_elliptic(ChernClass(r, a), u_choice) != 1:
             raise ValueError(
-                f"u_choice=({self.u_choice.rank},{self.u_choice.deg}) does not "
-                f"pair to 1 against ({self.r},{self.a})"
+                f"u_choice=({u_choice.rank},{u_choice.deg}) does not "
+                f"pair to 1 against ({r},{a})"
             )
+        return tuple.__new__(cls, (r, d, a, w, g, u_choice))
+
+    # namedtuple's own _make, behind _replace, would skip the checks above
+    _make = classmethod(lambda cls, it: cls(*it))
 
     def base_degrees(self) -> BaseDegrees:
         return solve_base_degrees(self.r, self.a, self.w, self.u_choice)

@@ -41,7 +41,6 @@ from .invariants import (
     series_identity_even,
     series_identity_odd,
 )
-from .selfcheck import run_selfcheck
 
 EXIT_OK = 0
 EXIT_DISAGREE = 2
@@ -203,6 +202,8 @@ def _sweep_degrees(args) -> list[int]:
             raise ValueError(f"--w-max must be >= 0, got {args.w_max}")
         return list(range(1, args.w_max + 1))
     ws = [int(part) for part in args.w_list.split(",") if part]
+    if not ws:
+        raise ValueError("empty degree list")
     for w in ws:
         if w < 1:
             raise ValueError(f"sweep degrees must be >= 1, got {w}")
@@ -250,6 +251,8 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_selfcheck(_args) -> int:
+    # imported here, not at the top, so that no other subcommand pays for it
+    from .selfcheck import run_selfcheck
     results = run_selfcheck()
     failures = 0
     for name, ok, detail in results:

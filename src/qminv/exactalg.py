@@ -27,7 +27,7 @@ value needs one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 # The residue engine's t-polynomials are cut above t**T_CAP.  The
@@ -45,22 +45,39 @@ def _as_fraction(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
-@dataclass(frozen=True)
 class QSeries:
     """A power series in q truncated at a fixed order N >= 1.
 
     ``coeffs[w]`` is the coefficient of ``q**w``; the tuple has length
     ``N + 1``.  Binary operations on mismatched orders truncate to the
-    smaller order; below the truncation every operation is exact.
+    smaller order; below the truncation every operation is exact.  A
+    series is immutable and hashable, and not a tuple: ``2 * s`` raises.
     """
 
-    coeffs: tuple[Fraction, ...]
+    __slots__ = ("coeffs",)
 
-    def __post_init__(self):
-        coeffs = tuple(map(_as_fraction, self.coeffs))
+    def __init__(self, coeffs):
+        coeffs = tuple(map(_as_fraction, coeffs))
         if len(coeffs) < 2:
             raise InvalidTruncationError("truncation order must be >= 1")
         object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"QSeries is immutable: cannot change {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return QSeries, (self.coeffs,)
+
+    def __eq__(self, other):
+        return self.coeffs == other.coeffs if other.__class__ is QSeries else NotImplemented
+
+    def __hash__(self):
+        return hash(self.coeffs)
+
+    def __repr__(self):
+        return f"QSeries(coeffs={self.coeffs!r})"
 
     @classmethod
     def one(cls, order: int) -> "QSeries":
@@ -151,29 +168,26 @@ def _tpoly_scale(c: Fraction, poly) -> tuple[Fraction, ...]:
     return tuple(c * v if v else v for v in poly)
 
 
-@dataclass(frozen=True)
-class EquivCoeff:
+class EquivCoeff(namedtuple("EquivCoeff", "scalar omega_part")):
     """Residue coefficient ``scalar(t) + omega_part(t) * omega``.
 
     Both parts are tuples of ``T_CAP + 1`` coefficients of ``t``; input
-    above ``t**T_CAP`` is dropped.  The only operation is ``scale``, so
-    nothing can leave the two linear parts.
+    above ``t**T_CAP`` is dropped, on ``_replace`` and ``_make`` too.  The
+    only operation is ``scale``, so nothing can leave the two linear parts.
     """
 
-    scalar: tuple[Fraction, ...] = ()
-    omega_part: tuple[Fraction, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "scalar", _as_tpoly(self.scalar))
-        object.__setattr__(self, "omega_part", _as_tpoly(self.omega_part))
+    def __new__(cls, scalar: tuple = (), omega_part: tuple = ()):
+        return tuple.__new__(cls, (_as_tpoly(scalar), _as_tpoly(omega_part)))
+
+    # namedtuple's own _make, behind _replace, would skip the coercion
+    _make = classmethod(lambda cls, it: cls(*it))
 
     @classmethod
     def _of(cls, scalar: tuple, omega_part: tuple) -> "EquivCoeff":
         """Wrap two full-length Fraction tuples without coercing them again."""
-        self = object.__new__(cls)
-        object.__setattr__(self, "scalar", scalar)
-        object.__setattr__(self, "omega_part", omega_part)
-        return self
+        return tuple.__new__(cls, (scalar, omega_part))
 
     def scale(self, c) -> "EquivCoeff":
         c = _as_fraction(c)
@@ -182,7 +196,8 @@ class EquivCoeff:
         )
 
 
-# EquivCoeff is frozen, so one zero serves every residue without a pole.
+# EquivCoeff is immutable, so one zero serves every residue without a pole:
+# no caller can change the shared instance under another.
 _ZERO_COEFF = EquivCoeff()
 
 

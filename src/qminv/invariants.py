@@ -19,9 +19,8 @@ Vafa-Witten invariant of the product surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .arith import InvariantQuery, divisors, is_prime
 from .exactalg import QSeries, series_log_product
@@ -35,8 +34,7 @@ class UnsupportedQueryError(ValueError):
     """Raised when a route has no proven formula for the query."""
 
 
-@dataclass(frozen=True)
-class InvariantResult:
+class InvariantResult(namedtuple("InvariantResult", "value_t breakdown route conjectural")):
     """A reduced invariant value with its per-divisor breakdown.
 
     value_t is the coefficient of t.  The breakdown lists each divisor's
@@ -45,10 +43,7 @@ class InvariantResult:
     (``unproven_reason``) and was evaluated in permissive mode.
     """
 
-    value_t: Fraction
-    breakdown: tuple[tuple[int, Fraction], ...]
-    route: str
-    conjectural: bool
+    __slots__ = ()
 
 
 def degree_congruent(query: InvariantQuery) -> bool:
@@ -206,10 +201,10 @@ def qm_conjectural(query: InvariantQuery) -> InvariantResult:
     return result
 
 
-class SeriesIdentity(NamedTuple):
-    lhs: QSeries
-    rhs: QSeries
-    equal: bool
+class SeriesIdentity(namedtuple("SeriesIdentity", "lhs rhs equal")):
+    """Both sides of a generating-series identity and whether they agree."""
+
+    __slots__ = ()
 
 
 def _series_identity(g: int, order: int, d: int) -> SeriesIdentity:

@@ -19,7 +19,7 @@ fallback; whether a query may use them is decided once, by
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -100,8 +100,8 @@ def slice_euler_bruteforce(r: int, u: ChernClass) -> int:
     return total
 
 
-# The z^0 term, and c_1 per unit of dimension: omega - t.  Both are frozen,
-# so every expansion shares them.
+# The z^0 term, and c_1 per unit of dimension: omega - t.  An EquivCoeff is
+# immutable, so every expansion can share them without copying.
 _ONE = EquivCoeff((1,))
 _C1_UNIT = EquivCoeff((0, -1), (1,))
 
@@ -126,8 +126,7 @@ def normal_bundle_inverse_expansion(m: int, dim: int) -> dict[int, EquivCoeff]:
     return terms
 
 
-@dataclass(frozen=True)
-class WallComponent:
+class WallComponent(namedtuple("WallComponent", "divisor twist quotient_class dim stab_order slice_euler supported")):
     """One divisor's Quot-scheme component of the wall locus.
 
     twist is the unique integer h with h*r - c1/m in [0, r-1]; the
@@ -136,13 +135,7 @@ class WallComponent:
     analysed classes {0, r-1} and the stabilizer is the dim^2 fallback.
     """
 
-    divisor: int
-    twist: int
-    quotient_class: ChernClass
-    dim: int
-    stab_order: int
-    slice_euler: int
-    supported: bool
+    __slots__ = ()
 
 
 def wall_components(query: InvariantQuery) -> list[WallComponent]:

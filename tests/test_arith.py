@@ -90,6 +90,7 @@ class TestChiPairing:
                 if math.gcd(r, a) != 1:
                     continue
                 u = canonical_u_choice(r, a)
+                assert type(u) is ChernClass
                 assert chi_pairing_elliptic(ChernClass(r, a), u) == 1
 
     def test_canonical_choice_needs_coprimality(self):
@@ -99,7 +100,10 @@ class TestChiPairing:
 
 class TestSolveBaseDegrees:
     def test_rank_two_standard(self):
-        assert solve_base_degrees(2, 1, 3, ChernClass(1, 0)) == BaseDegrees(3, 0)
+        bd = solve_base_degrees(2, 1, 3, ChernClass(1, 0))
+        # == compares a namedtuple as a plain tuple, so the class is asserted apart
+        assert type(bd) is BaseDegrees
+        assert bd == BaseDegrees(3, 0)
 
     def test_degree_zero(self):
         assert solve_base_degrees(2, 1, 0, ChernClass(1, 0)) == BaseDegrees(0, 0)
@@ -135,6 +139,7 @@ class TestSolveBaseDegrees:
             assert chi_pairing_elliptic(ChernClass(r, a), u) == 1
             w = rng.randrange(0, 500)
             bd = solve_base_degrees(r, a, w, u)
+            assert type(bd) is BaseDegrees
             assert bd.c1 * u.deg + bd.ch2 * u.rank == 0
             assert bd.c1 * a - bd.ch2 * r == w
 
@@ -196,3 +201,50 @@ class TestInvariantQuery:
     def test_base_degrees_shortcut(self):
         q = InvariantQuery(r=2, d=1, a=1, w=6, g=2)
         assert q.base_degrees() == BaseDegrees(6, 0)
+
+
+class TestRecordTypes:
+    """ChernClass, BaseDegrees and InvariantQuery are namedtuples."""
+
+    def test_keyword_construction(self):
+        assert ChernClass(rank=2, deg=1).rank == 2
+        assert BaseDegrees(c1=3, ch2=0).ch2 == 0
+        q = InvariantQuery(r=3, d=1, a=2, w=4, g=2, u_choice=ChernClass(rank=2, deg=-1))
+        assert (q.r, q.d, q.a, q.w, q.g, q.u_choice) == (3, 1, 2, 4, 2, ChernClass(2, -1))
+
+    @pytest.mark.parametrize(
+        "record, field",
+        [(ChernClass(1, 0), "rank"), (BaseDegrees(3, 0), "c1"), (InvariantQuery(2, 1, 1, 3, 2), "w")],
+        ids=["ChernClass", "BaseDegrees", "InvariantQuery"],
+    )
+    def test_fields_are_read_only(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 5)
+        with pytest.raises(AttributeError):
+            record.extra = 5
+
+    def test_replace_and_make_validate(self):
+        query = InvariantQuery(r=2, d=1, a=1, w=3, g=2)
+        with pytest.raises(ValueError, match="rank must be >= 2, got 1"):
+            query._replace(r=1)
+        with pytest.raises(ValueError, match="rank must be >= 2, got 1"):
+            InvariantQuery._make((1, 0, 1, 3, 2, None))
+        with pytest.raises(ValueError, match="pair to 1"):
+            query._replace(u_choice=ChernClass(0, 1))
+        moved = query._replace(w=5)
+        assert type(moved) is InvariantQuery
+        assert moved == InvariantQuery(r=2, d=1, a=1, w=5, g=2)
+        # _make fills in the canonical u_choice as the constructor does
+        assert InvariantQuery._make((2, 1, 1, 3, 2, None)) == query
+
+    def test_repr(self):
+        assert repr(InvariantQuery(r=2, d=1, a=1, w=3, g=2)) == (
+            "InvariantQuery(r=2, d=1, a=1, w=3, g=2, u_choice=ChernClass(rank=1, deg=0))"
+        )
+
+    def test_equal_to_a_plain_tuple(self):
+        # documented API: a record is the tuple of its fields
+        assert ChernClass(1, 0) == (1, 0)
+        assert hash(ChernClass(1, 0)) == hash((1, 0))
+        rank, deg = ChernClass(1, 0)
+        assert (rank, deg) == (1, 0)

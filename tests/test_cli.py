@@ -503,8 +503,14 @@ class TestSweepCommand:
             (["-r", "2", "-a", "1", "--w-list", "1,-1", "--g", "2"], "sweep degrees must be >= 1, got -1"),
             (["-r", "2", "-a", "1", "--w-list", "1,0", "--g", "2"], "sweep degrees must be >= 1, got 0"),
             (["-r", "2", "-a", "1", "--w-max", "-3", "--g", "2"], "--w-max must be >= 0, got -3"),
+            # an explicit list must name a degree, as the genus list must
+            (["-r", "2", "-a", "1", "--w-list", ",", "--g", "2"], "empty degree list"),
+            (["-r", "2", "-a", "1", "--w-list", "", "--g", "2"], "empty degree list"),
         ],
-        ids=["rank", "a", "genus", "genus-after-points", "w-list-negative", "w-list-zero", "w-max-negative"],
+        ids=[
+            "rank", "a", "genus", "genus-after-points", "w-list-negative", "w-list-zero",
+            "w-max-negative", "w-list-comma", "w-list-empty",
+        ],
     )
     def test_query_is_validated_before_the_first_point(self, capsys, flags, message):
         code, out, err = run(capsys, "sweep", "-d", "0", *flags)
@@ -603,3 +609,21 @@ class TestSelfcheckCommand:
         assert lines[1] == "FAIL _check_divides_by_zero  ZeroDivisionError: integer division or modulo by zero"
         assert lines[2].startswith("ok ")
         assert lines[3] == "2/3 checks passed"
+
+
+class TestColdStart:
+    def test_cli_import_skips_dataclasses_and_selfcheck(self):
+        # every qminv process pays for what `import qminv.cli` loads; only the
+        # selfcheck subcommand needs qminv.selfcheck
+        probe = (
+            "import qminv.cli, sys; "
+            "print(sorted({'dataclasses', 'inspect', 'qminv.selfcheck'} & set(sys.modules)))"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": str(SRC)},
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -1,5 +1,7 @@
 """Series and coefficient-ring arithmetic."""
 
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -124,11 +126,59 @@ class TestQSeriesRing:
             QSeries((F(1),))
 
 
+class TestQSeriesRecord:
+    """QSeries is an immutable slotted class, not a tuple."""
+
+    def test_not_a_tuple(self):
+        with pytest.raises(TypeError):
+            2 * QSeries.one(3)
+        with pytest.raises(TypeError):
+            len(QSeries.one(3))
+        assert QSeries((1, 2)) != (F(1), F(2))
+
+    def test_read_only(self):
+        s = QSeries(coeffs=(1, 0))
+        with pytest.raises(AttributeError):
+            s.coeffs = (F(0), F(0))
+        with pytest.raises(AttributeError):
+            del s.coeffs
+        with pytest.raises(AttributeError):
+            s.extra = 1
+        assert s.coeffs == (F(1), F(0))
+
+    def test_equality_hash_and_repr(self):
+        s = QSeries((1, 2))
+        assert s == QSeries((F(1), F(2)))
+        assert hash(s) == hash(QSeries((F(1), F(2))))
+        assert repr(s) == "QSeries(coeffs=(Fraction(1, 1), Fraction(2, 1)))"
+
+    def test_copy_and_pickle(self):
+        s = series_log_product(4)
+        assert copy.deepcopy(s) == s
+        assert pickle.loads(pickle.dumps(s)) == s
+
+
 class TestEquivCoeff:
     def test_input_above_t_cap_is_dropped(self):
         x = EquivCoeff((1, 2, 3, 4, 5), (6, 7, 8, 9))
         assert x.scalar == (F(1), F(2))
         assert x.omega_part == (F(6), F(7))
+
+    def test_replace_coerces_and_truncates(self):
+        x = EquivCoeff((5,))._replace(scalar=(1, 2, 3))
+        assert x.scalar == (F(1), F(2))
+        assert type(x.scalar[0]) is Fraction
+        assert x.omega_part == (F(0), F(0))
+
+    def test_rejects_a_bare_number(self):
+        with pytest.raises(TypeError):
+            EquivCoeff(5)
+
+    def test_keyword_construction_is_read_only(self):
+        x = EquivCoeff(scalar=(1,), omega_part=(0, 2))
+        assert x == EquivCoeff((1, 0), (0, 2))
+        with pytest.raises(AttributeError):
+            x.scalar = (F(0), F(0))
 
 
 class TestSparseEquivCoeff:

@@ -125,6 +125,7 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
     "sweep_exit4_usage": (["sweep", "-r", "2", "-d", "1", "-a", "1", "--g", "2"], {}),
     "sweep_exit4_w_list_zero": (["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-list", "1,0", "--g", "2"], {}),
     "sweep_exit4_negative_w_max": (["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", "-3", "--g", "2"], {}),
+    "sweep_exit4_w_list_empty": (["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-list", ",", "--g", "2"], {}),
     "selfcheck": (["selfcheck"], {}),
 }
 

@@ -16,6 +16,7 @@ from qminv.exactalg import series_log_product
 from qminv.invariants import (
     ROUTE_ORACLE,
     InvariantResult,
+    SeriesIdentity,
     UnsupportedQueryError,
     degree_congruent,
     gw_moduli,
@@ -39,7 +40,10 @@ def q2(d, w, g=2):
 
 class TestClosedForm:
     def test_rank_two_degree_three(self):
-        assert qm_elliptic_closed(q2(1, 3)).value_t == F(8, 3)
+        result = qm_elliptic_closed(q2(1, 3))
+        # == compares a namedtuple as a plain tuple, so the class is asserted apart
+        assert type(result) is InvariantResult
+        assert result.value_t == F(8, 3)
 
     def test_parity_zero_branch(self):
         result = qm_elliptic_closed(q2(0, 3))
@@ -68,6 +72,7 @@ class TestClosedForm:
 class TestOracle:
     def test_rank_two_degree_three_with_breakdown(self):
         result = qm_elliptic_oracle(q2(1, 3))
+        assert type(result) is InvariantResult
         assert result.value_t == F(8, 3)
         assert result.breakdown == ((1, F(2)), (3, F(2, 3)))
         assert result.route == ROUTE_ORACLE
@@ -101,6 +106,16 @@ class TestOracle:
                         qm_elliptic_oracle(query).value_t
                         == qm_elliptic_closed(query).value_t
                     )
+
+
+class TestInvariantResultRecord:
+    def test_keyword_construction_is_read_only(self):
+        result = InvariantResult(
+            value_t=F(2), breakdown=((1, F(2)),), route=ROUTE_ORACLE, conjectural=False
+        )
+        assert result == qm_elliptic_oracle(q2(1, 1))
+        with pytest.raises(AttributeError):
+            result.value_t = F(3)
 
 
 class TestModuliSide:
@@ -171,6 +186,7 @@ class TestGenusBehaviour:
 class TestSeriesIdentities:
     def test_odd_identity_low_coefficients(self):
         check = series_identity_odd(2, 3)
+        assert type(check) is SeriesIdentity
         assert check.equal
         assert check.lhs.coefficient(1) == F(32)
         assert check.lhs.coefficient(2) == 0

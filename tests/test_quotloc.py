@@ -14,6 +14,7 @@ from qminv.invariants import UnsupportedQueryError, qm_elliptic_oracle
 from qminv.quotloc import (
     DegenerateQuotientError,
     InvalidComponentError,
+    WallComponent,
     component_residue_degree,
     normal_bundle_inverse_expansion,
     quot_dimension,
@@ -164,6 +165,8 @@ class TestWallComponents:
     def test_rank_two_degree_three(self):
         query = InvariantQuery(r=2, d=1, a=1, w=3, g=2)
         comps = wall_components(query)
+        # == compares a namedtuple as a plain tuple, so the class is asserted apart
+        assert [(type(c), type(c.quotient_class)) for c in comps] == [(WallComponent, ChernClass)] * 2
         assert [(c.divisor, c.twist, c.quotient_class) for c in comps] == [
             (1, 2, ChernClass(1, 2)),
             (3, 1, ChernClass(1, 1)),
