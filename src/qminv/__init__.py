@@ -10,9 +10,7 @@ exact rational.
 from .arith import (
     BaseDegrees,
     ChernClass,
-    DomainError,
     InvariantQuery,
-    NormalizationError,
     canonical_u_choice,
     chi_pairing_elliptic,
     divisors,
@@ -23,7 +21,6 @@ from .arith import (
 )
 from .exactalg import (
     EquivCoeff,
-    InvalidTruncationError,
     QSeries,
     laurent_residue,
     series_log_product,
@@ -35,9 +32,7 @@ from .invariants import (
     SeriesIdentity,
     UnsupportedQueryError,
     degree_congruent,
-    gw_moduli,
     qm_conjectural,
-    qm_constant_map,
     qm_degree_zero,
     qm_elliptic_closed,
     qm_elliptic_oracle,
@@ -47,8 +42,6 @@ from .invariants import (
     unproven_reason,
 )
 from .quotloc import (
-    DegenerateQuotientError,
-    InvalidComponentError,
     WallComponent,
     component_residue_degree,
     normal_bundle_inverse_expansion,
@@ -63,14 +56,9 @@ __version__ = "0.1.0"
 __all__ = [
     "BaseDegrees",
     "ChernClass",
-    "DegenerateQuotientError",
-    "DomainError",
     "EquivCoeff",
-    "InvalidComponentError",
-    "InvalidTruncationError",
     "InvariantQuery",
     "InvariantResult",
-    "NormalizationError",
     "QSeries",
     "ROUTE_CLOSED",
     "ROUTE_ORACLE",
@@ -82,12 +70,10 @@ __all__ = [
     "component_residue_degree",
     "degree_congruent",
     "divisors",
-    "gw_moduli",
     "is_prime",
     "laurent_residue",
     "normal_bundle_inverse_expansion",
     "qm_conjectural",
-    "qm_constant_map",
     "qm_degree_zero",
     "qm_elliptic_closed",
     "qm_elliptic_oracle",

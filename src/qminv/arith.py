@@ -15,14 +15,6 @@ from collections import namedtuple
 from fractions import Fraction
 
 
-class DomainError(ValueError):
-    """Raised for arguments outside an operation's domain (e.g. w = 0)."""
-
-
-class NormalizationError(ValueError):
-    """Raised when the degree-vector system is singular or non-integral."""
-
-
 def divisors(w: int) -> list[int]:
     """All positive divisors of w in increasing order.
 
@@ -30,7 +22,7 @@ def divisors(w: int) -> list[int]:
     formula and never reach divisor machinery.
     """
     if w < 1:
-        raise DomainError(f"divisors requires w >= 1, got {w}")
+        raise ValueError(f"divisors requires w >= 1, got {w}")
     small, large = [], []
     d = 1
     while d * d <= w:
@@ -63,7 +55,7 @@ def is_prime(n: int) -> bool:
 def torsion_order(n: int) -> int:
     """Order of the n-torsion subgroup of an elliptic curve: n^2."""
     if n < 1:
-        raise DomainError(f"torsion_order requires n >= 1, got {n}")
+        raise ValueError(f"torsion_order requires n >= 1, got {n}")
     return n * n
 
 
@@ -105,19 +97,19 @@ def solve_base_degrees(r: int, a: int, w: int, u: ChernClass) -> BaseDegrees:
     """
     det = u.deg * (-r) - u.rank * a
     if det == 0:
-        raise NormalizationError(
+        raise ValueError(
             f"degree system is singular for u=({u.rank},{u.deg}), (r,a)=({r},{a})"
         )
     c1_num = -u.rank * w
     ch2_num = u.deg * w
     if c1_num % det or ch2_num % det:
-        raise NormalizationError(
+        raise ValueError(
             f"degree system has no integer solution for w={w}, "
             f"u=({u.rank},{u.deg}), (r,a)=({r},{a})"
         )
     c1, ch2 = c1_num // det, ch2_num // det
     if c1 * u.deg + ch2 * u.rank != 0 or c1 * a - ch2 * r != w:
-        raise NormalizationError("degree solution failed re-substitution")
+        raise ValueError("degree solution failed re-substitution")
     return BaseDegrees(c1, ch2)
 
 
@@ -128,7 +120,7 @@ def canonical_u_choice(r: int, a: int) -> ChernClass:
     forced.  Only defined for gcd(r, a) = 1.
     """
     if math.gcd(r, a) != 1:
-        raise DomainError(f"no unit normalisation: gcd({r},{a}) != 1")
+        raise ValueError(f"no unit normalisation: gcd({r},{a}) != 1")
     u1 = pow(a, -1, r)
     u2 = (1 - a * u1) // r
     return ChernClass(u1, u2)

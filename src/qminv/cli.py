@@ -154,9 +154,6 @@ def _cmd_invariant(args) -> int:
 
 
 def _cmd_series(args) -> int:
-    if args.order < 1:
-        print("series order must be >= 1", file=sys.stderr)
-        return EXIT_INVALID
     check = (
         series_identity_odd(args.genus, args.order)
         if args.identity == "A"

@@ -37,10 +37,6 @@ T_CAP = 1
 _ZERO = Fraction(0)
 
 
-class InvalidTruncationError(ValueError):
-    """Raised when a series operation is asked for truncation order 0."""
-
-
 def _as_fraction(value) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
@@ -51,7 +47,8 @@ class QSeries:
     ``coeffs[w]`` is the coefficient of ``q**w``; the tuple has length
     ``N + 1``.  Binary operations on mismatched orders truncate to the
     smaller order; below the truncation every operation is exact.  A
-    series is immutable and hashable, and not a tuple: ``2 * s`` raises.
+    series is immutable and hashable, and not a tuple: ``2 * s`` and
+    ``s + 1`` raise ``TypeError``.
     """
 
     __slots__ = ("coeffs",)
@@ -59,7 +56,7 @@ class QSeries:
     def __init__(self, coeffs):
         coeffs = tuple(map(_as_fraction, coeffs))
         if len(coeffs) < 2:
-            raise InvalidTruncationError("truncation order must be >= 1")
+            raise ValueError("truncation order must be >= 1")
         object.__setattr__(self, "coeffs", coeffs)
 
     def __setattr__(self, name, *value):
@@ -96,10 +93,14 @@ class QSeries:
         return min(self.order, other.order)
 
     def __add__(self, other: "QSeries") -> "QSeries":
+        if other.__class__ is not QSeries:
+            return NotImplemented
         n = self._common_order(other)
         return QSeries(tuple(self.coeffs[w] + other.coeffs[w] for w in range(n + 1)))
 
     def __sub__(self, other: "QSeries") -> "QSeries":
+        if other.__class__ is not QSeries:
+            return NotImplemented
         n = self._common_order(other)
         return QSeries(tuple(self.coeffs[w] - other.coeffs[w] for w in range(n + 1)))
 
@@ -107,6 +108,8 @@ class QSeries:
         return QSeries(tuple(-c for c in self.coeffs))
 
     def __mul__(self, other: "QSeries") -> "QSeries":
+        if other.__class__ is not QSeries:
+            return NotImplemented
         n = self._common_order(other)
         out = [Fraction(0)] * (n + 1)
         for i in range(n + 1):
@@ -151,7 +154,7 @@ def series_log_product(order: int) -> QSeries:
     builds one ``Fraction`` per coefficient.  The constant term is 0.
     """
     if order < 1:
-        raise InvalidTruncationError("truncation order must be >= 1")
+        raise ValueError("truncation order must be >= 1")
     sigma = [0] * (order + 1)
     for k in range(1, order + 1):
         for j in range(1, order // k + 1):

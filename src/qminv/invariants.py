@@ -71,19 +71,27 @@ def unproven_reason(query: InvariantQuery) -> str | None:
     )
 
 
-def qm_elliptic_closed(query: InvariantQuery, strict: bool = True) -> InvariantResult:
-    """Elliptic-side invariant by the divisor-sum formula.
+def _admit(query: InvariantQuery, strict: bool) -> bool:
+    """Both elliptic routes' admission gate; returns the conjectural flag.
 
-    (2g-2) * sum_{m|w} 1/m when w = d*a mod r, and 0 otherwise.  Strict
-    mode rejects a query outside the proven set (``unproven_reason``);
-    permissive mode evaluates the same sum and flags it conjectural.
+    w < 1 is invalid; outside the proven set (``unproven_reason``) a query
+    is unsupported when ``strict`` and conjectural otherwise.
     """
     if query.w < 1:
-        raise ValueError("divisor-sum formula needs w >= 1; w = 0 is the constant-map case")
+        raise ValueError("an elliptic-side route needs w >= 1; w = 0 is the constant-map case")
     reason = unproven_reason(query)
     if strict and reason is not None:
         raise UnsupportedQueryError(reason)
-    conjectural = reason is not None
+    return reason is not None
+
+
+def qm_elliptic_closed(query: InvariantQuery, strict: bool = True) -> InvariantResult:
+    """Elliptic-side invariant by the divisor-sum formula.
+
+    (2g-2) * sum_{m|w} 1/m when w = d*a mod r, and 0 otherwise.  ``strict``
+    is the proven-set gate it shares with the oracle (``unproven_reason``).
+    """
+    conjectural = _admit(query, strict)
     if not degree_congruent(query):
         return InvariantResult(Fraction(0), (), ROUTE_CLOSED, conjectural)
     scale, w = 2 * query.g - 2, query.w
@@ -105,12 +113,7 @@ def qm_elliptic_oracle(query: InvariantQuery, strict: bool = True) -> InvariantR
     invariant vanishes before any component is reached.  ``strict`` has
     the closed form's meaning.
     """
-    if query.w < 1:
-        raise ValueError("the wall-crossing pipeline needs w >= 1")
-    reason = unproven_reason(query)
-    if strict and reason is not None:
-        raise UnsupportedQueryError(reason)
-    conjectural = reason is not None
+    conjectural = _admit(query, strict)
     if not degree_congruent(query):
         return InvariantResult(Fraction(0), (), ROUTE_ORACLE, conjectural)
     breakdown = tuple(
@@ -134,7 +137,8 @@ def qm_moduli(
     """Moduli-side invariant: r^(2g) times the elliptic-side value.
 
     Stability independence needs a prime rank.  The same number is the
-    Vafa-Witten invariant of the product surface.
+    Vafa-Witten invariant of the product surface, and for odd w the
+    genus-1 Gromov-Witten invariant of the moduli space.
     """
     if not is_prime(query.r):
         raise UnsupportedQueryError(
@@ -146,40 +150,18 @@ def qm_moduli(
     return _moduli_scaled(query, elliptic(query, strict=strict))
 
 
-def gw_moduli(
-    query: InvariantQuery, route: str = ROUTE_CLOSED, strict: bool = True
-) -> InvariantResult:
-    """Genus-1 Gromov-Witten invariant of the moduli space.
-
-    An alias: for odd degree the Gromov-Witten and quasimap counts agree.
-    """
-    if query.w % 2 == 0:
-        raise UnsupportedQueryError(
-            "the Gromov-Witten identification is only available for odd degree"
-        )
-    return qm_moduli(query, route=route, strict=strict)
-
-
-def qm_constant_map(r: int, a: int, g: int) -> Fraction:
-    """Degree-zero invariant r^(2g-2) (prime rank, a nonzero mod r)."""
-    if g < 2:
-        raise ValueError(f"genus must be >= 2, got {g}")
-    if not is_prime(r):
-        raise UnsupportedQueryError(f"constant-map count needs a prime rank, got {r}")
-    if a % r == 0:
-        raise UnsupportedQueryError("constant-map count needs a != 0 mod r")
-    return Fraction(r ** (2 * g - 2))
-
-
 def qm_degree_zero(query: InvariantQuery) -> InvariantResult:
-    """Route a w = 0 query to the constant-map invariant.
+    """The w = 0 invariant: the constant-map count r^(2g-2).
 
-    The degree congruence still gates the count: for d != 0 mod r the
-    moduli space of degree-(0, d) quasisections is empty.
+    Its prime-rank rule holds in permissive mode too, and comes before the
+    congruence, as the gate does at w >= 1; for d != 0 mod r the moduli
+    space of degree-(0, d) quasisections is empty and the count is 0.
     """
     if query.w != 0:
         raise ValueError("qm_degree_zero expects w = 0")
-    value = qm_constant_map(query.r, query.a, query.g) if degree_congruent(query) else Fraction(0)
+    if not is_prime(query.r):
+        raise UnsupportedQueryError(f"constant-map count needs a prime rank, got {query.r}")
+    value = Fraction(query.r ** (2 * query.g - 2)) if degree_congruent(query) else Fraction(0)
     return InvariantResult(value, (), ROUTE_CLOSED, False)
 
 

@@ -23,23 +23,8 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .arith import (
-    ChernClass,
-    DomainError,
-    InvariantQuery,
-    NormalizationError,
-    divisors,
-    torsion_order,
-)
+from .arith import ChernClass, InvariantQuery, divisors, torsion_order
 from .exactalg import EquivCoeff, laurent_residue
-
-
-class InvalidComponentError(ValueError):
-    """Raised when a quotient class yields a negative dimension."""
-
-
-class DegenerateQuotientError(ValueError):
-    """Raised for the zero quotient class (0, 0)."""
 
 
 def quot_dimension(r: int, a: int, u: ChernClass) -> int:
@@ -50,7 +35,7 @@ def quot_dimension(r: int, a: int, u: ChernClass) -> int:
     """
     dim = r * u.deg - a * u.rank
     if dim < 0:
-        raise InvalidComponentError(
+        raise ValueError(
             f"quotient class ({u.rank},{u.deg}) has negative dimension {dim}"
         )
     return dim
@@ -65,7 +50,7 @@ def stabilizer_order(r: int, a: int, u: ChernClass) -> int:
     dim = quot_dimension(r, a, u)
     if u.rank == 0:
         if u.deg < 1:
-            raise DegenerateQuotientError("zero quotient class has no finite stabilizer")
+            raise ValueError("zero quotient class has no finite stabilizer")
         return torsion_order(r * u.deg)
     return torsion_order(dim)
 
@@ -86,7 +71,7 @@ def slice_euler_bruteforce(r: int, u: ChernClass) -> int:
         raise ValueError(f"fixed-locus enumeration needs a rank-0 class, got rank {u.rank}")
     k = u.deg
     if k < 1:
-        raise DegenerateQuotientError("quotient degree must be >= 1")
+        raise ValueError("quotient degree must be >= 1")
     ends = {0, k}
     total = 0
     for sums in combinations_with_replacement(range(k + 1), r - 1):
@@ -117,9 +102,9 @@ def normal_bundle_inverse_expansion(m: int, dim: int) -> dict[int, EquivCoeff]:
     by -dim/m.
     """
     if m < 1:
-        raise DomainError(f"divisor must be >= 1, got {m}")
+        raise ValueError(f"divisor must be >= 1, got {m}")
     if dim < 0:
-        raise InvalidComponentError(f"dimension must be >= 0, got {dim}")
+        raise ValueError(f"dimension must be >= 0, got {dim}")
     terms = {0: _ONE}
     if dim:
         terms[-1] = _C1_UNIT.scale(Fraction(-dim, m))
@@ -141,13 +126,13 @@ class WallComponent(namedtuple("WallComponent", "divisor twist quotient_class di
 def wall_components(query: InvariantQuery) -> list[WallComponent]:
     """Enumerate the wall components of a degree-w >= 1 query, one per m | w."""
     if query.w < 1:
-        raise DomainError("wall components exist only for quasimap degree w >= 1")
+        raise ValueError("wall components exist only for quasimap degree w >= 1")
     bd = query.base_degrees()
     r, a = query.r, query.a
     components = []
     for m in divisors(query.w):
         if bd.c1 % m or bd.ch2 % m:
-            raise NormalizationError(
+            raise ValueError(
                 f"base degrees ({bd.c1},{bd.ch2}) are not divisible by m={m}"
             )
         x1, x2 = bd.c1 // m, bd.ch2 // m
@@ -156,7 +141,7 @@ def wall_components(query: InvariantQuery) -> list[WallComponent]:
         u_m = ChernClass(h * r - x1, h * a - x2)
         dim = quot_dimension(r, a, u_m)
         if dim < 1:
-            raise InvalidComponentError(
+            raise ValueError(
                 f"component m={m} has dimension {dim}; expected >= 1 for w >= 1"
             )
         stab = stabilizer_order(r, a, u_m)

@@ -316,13 +316,15 @@ class TestExitCodes:
         assert (code, out) == (3, "")
         assert err == "unsupported query: moduli-side correspondence needs a prime rank, got 4\n"
 
-    def test_permissive_constant_map_needs_prime_rank(self, capsys):
+    @pytest.mark.parametrize("mode", ["--strict", "--permissive"], ids=["strict", "permissive"])
+    @pytest.mark.parametrize("d", ["0", "1"])
+    def test_permissive_constant_map_needs_prime_rank(self, capsys, d, mode):
         # --permissive lifts the proven-set gate, but the constant-map
-        # count at w = 0 has its own prime-rank rule
+        # count at w = 0 has its own prime-rank rule; it comes before the
+        # congruence, so d = 1 (an empty moduli space) is unsupported too
         code, out, err = run(
             capsys,
-            "invariant", "-r", "4", "-d", "0", "-a", "1", "-w", "0", "-g", "2",
-            "--permissive",
+            "invariant", "-r", "4", "-d", d, "-a", "1", "-w", "0", "-g", "2", mode,
         )
         assert (code, out) == (3, "")
         assert err == "unsupported query: constant-map count needs a prime rank, got 4\n"
@@ -458,10 +460,11 @@ class TestSeriesCommand:
         assert "PASS" in out
 
     def test_invalid_order(self, capsys):
-        code, _, _ = run(
-            capsys, "series", "--identity", "A", "--genus", "2", "--order", "0"
-        )
-        assert code == 4
+        for order in ("0", "-3"):
+            result = run(
+                capsys, "series", "--identity", "A", "--genus", "2", "--order", order
+            )
+            assert result == (4, "", "invalid input: truncation order must be >= 1\n")
 
 
 class TestSweepCommand:

@@ -87,6 +87,8 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
          "--permissive", "--format", "json"], {}),
     "invariant_exit3_composite_closed": (
         ["invariant", "-r", "4", "-d", "1", "-a", "1", "-w", "5", "-g", "2", "--route", "closed"], {}),
+    "invariant_exit3_w0_composite_off_congruence": (
+        ["invariant", "-r", "4", "-d", "1", "-a", "1", "-w", "0", "-g", "2"], {}),
     "invariant_exit4_negative_w": (INV[:8] + ["-3", "-g", "2"], {}),
     "invariant_exit4_bad_a": (
         ["invariant", "-r", "4", "-d", "1", "-a", "2", "-w", "1", "-g", "2"], {}),

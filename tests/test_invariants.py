@@ -6,7 +6,6 @@ import pytest
 
 from qminv import invariants
 from qminv.arith import (
-    DomainError,
     InvariantQuery,
     canonical_u_choice,
     divisors,
@@ -19,9 +18,7 @@ from qminv.invariants import (
     SeriesIdentity,
     UnsupportedQueryError,
     degree_congruent,
-    gw_moduli,
     qm_conjectural,
-    qm_constant_map,
     qm_degree_zero,
     qm_elliptic_closed,
     qm_elliptic_oracle,
@@ -29,7 +26,7 @@ from qminv.invariants import (
     series_identity_even,
     series_identity_odd,
 )
-from qminv.quotloc import InvalidComponentError, normal_bundle_inverse_expansion
+from qminv.quotloc import normal_bundle_inverse_expansion
 
 F = Fraction
 
@@ -65,7 +62,7 @@ class TestClosedForm:
             qm_elliptic_closed(query)
 
     def test_degree_zero_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="needs w >= 1"):
             qm_elliptic_closed(q2(0, 0))
 
 
@@ -141,26 +138,19 @@ class TestModuliSide:
         with pytest.raises(UnsupportedQueryError):
             qm_moduli(query)
 
-    def test_gw_alias_odd_degree_only(self):
-        assert gw_moduli(q2(1, 3)).value_t == qm_moduli(q2(1, 3)).value_t
-        with pytest.raises(UnsupportedQueryError):
-            gw_moduli(q2(0, 2))
-
 
 class TestConstantMap:
     @pytest.mark.parametrize(
         "r, g, expected", [(2, 2, 4), (3, 2, 9), (2, 3, 16), (5, 4, 5**6)]
     )
     def test_values(self, r, g, expected):
-        assert qm_constant_map(r, 1, g) == expected
-
-    def test_rejects_zero_a(self):
-        with pytest.raises(UnsupportedQueryError):
-            qm_constant_map(3, 0, 2)
+        assert qm_degree_zero(InvariantQuery(r, 0, 1, 0, g)).value_t == expected
 
     def test_rejects_composite_rank(self):
-        with pytest.raises(UnsupportedQueryError):
-            qm_constant_map(4, 1, 2)
+        # off the congruence (d = 1) too: the rank rule comes first
+        for d in (0, 1):
+            with pytest.raises(UnsupportedQueryError, match="constant-map count needs a prime rank, got 4"):
+                qm_degree_zero(InvariantQuery(4, d, 1, 0, 2))
 
     def test_degree_zero_routing(self):
         assert qm_degree_zero(q2(0, 0)).value_t == F(4)
@@ -263,11 +253,10 @@ class TestInputChecks:
         [
             (lambda: InvariantQuery(r=1, d=0, a=0, w=1, g=2), ValueError, "rank must be >= 2"),
             (lambda: qm_moduli(q2(1, 3), route="x"), ValueError, "unknown route 'x'"),
-            (lambda: qm_constant_map(2, 1, 1), ValueError, "genus must be >= 2"),
             (lambda: qm_degree_zero(q2(1, 1)), ValueError, "expects w = 0"),
             (lambda: qm_elliptic_oracle(q2(0, 0)), ValueError, "needs w >= 1"),
-            (lambda: normal_bundle_inverse_expansion(0, 1), DomainError, "divisor must be >= 1"),
-            (lambda: normal_bundle_inverse_expansion(1, -1), InvalidComponentError, "dimension must be >= 0"),
+            (lambda: normal_bundle_inverse_expansion(0, 1), ValueError, "divisor must be >= 1"),
+            (lambda: normal_bundle_inverse_expansion(1, -1), ValueError, "dimension must be >= 0"),
             # order 1 of the even identity has no moduli-side term to reject g
             (lambda: series_identity_even(1, 1), ValueError, "genus must be >= 2, got 1"),
         ],

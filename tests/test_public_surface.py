@@ -16,3 +16,11 @@ def test_star_import():
     namespace = {}
     exec("from qminv import *", namespace)
     assert set(qminv.__all__) <= set(namespace)
+
+
+def test_one_exception_class_per_exit_code():
+    # invalid input is a plain ValueError (exit 4) and an internal failure a
+    # RuntimeError (exit 2); only the unsupported query (exit 3) has a class
+    exported = [getattr(qminv, name) for name in qminv.__all__]
+    exceptions = [obj for obj in exported if isinstance(obj, type) and issubclass(obj, BaseException)]
+    assert exceptions == [qminv.UnsupportedQueryError]

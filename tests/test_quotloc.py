@@ -8,12 +8,10 @@ from math import ceil, comb, gcd
 import pytest
 
 import qminv.quotloc as quotloc
-from qminv.arith import ChernClass, DomainError, InvariantQuery, canonical_u_choice
+from qminv.arith import ChernClass, InvariantQuery, canonical_u_choice
 from qminv.exactalg import EquivCoeff, laurent_residue
 from qminv.invariants import UnsupportedQueryError, qm_elliptic_oracle
 from qminv.quotloc import (
-    DegenerateQuotientError,
-    InvalidComponentError,
     WallComponent,
     component_residue_degree,
     normal_bundle_inverse_expansion,
@@ -48,7 +46,7 @@ class TestQuotDimension:
                     assert quot_dimension(r, a, ChernClass(0, k)) == r * k
 
     def test_rejects_negative_dimension(self):
-        with pytest.raises(InvalidComponentError):
+        with pytest.raises(ValueError, match=r"quotient class \(3,1\) has negative dimension -1"):
             quot_dimension(2, 1, ChernClass(3, 1))
 
 
@@ -78,7 +76,7 @@ class TestStabilizerOrder:
         assert stabilizer_order(5, 2, ChernClass(2, 1)) == dim * dim
 
     def test_degenerate_quotient(self):
-        with pytest.raises(DegenerateQuotientError):
+        with pytest.raises(ValueError, match="zero quotient class has no finite stabilizer"):
             stabilizer_order(2, 1, ChernClass(0, 0))
 
 
@@ -88,7 +86,7 @@ class TestSliceEuler:
         assert slice_euler_bruteforce(r, ChernClass(0, k)) == expected
 
     def test_degenerate(self):
-        with pytest.raises(DegenerateQuotientError):
+        with pytest.raises(ValueError, match="quotient degree must be >= 1"):
             slice_euler_bruteforce(2, ChernClass(0, 0))
 
     def test_needs_rank_zero(self):
@@ -188,7 +186,7 @@ class TestWallComponents:
         ]
 
     def test_degree_zero_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValueError, match="wall components exist only for quasimap degree w >= 1"):
             wall_components(InvariantQuery(r=2, d=0, a=1, w=0, g=2))
 
     def test_unsupported_component_strict_vs_permissive(self):
