@@ -32,7 +32,6 @@ from .invariants import (
     SeriesIdentity,
     UnsupportedQueryError,
     degree_congruent,
-    qm_conjectural,
     qm_degree_zero,
     qm_elliptic_closed,
     qm_elliptic_oracle,
@@ -73,7 +72,6 @@ __all__ = [
     "is_prime",
     "laurent_residue",
     "normal_bundle_inverse_expansion",
-    "qm_conjectural",
     "qm_degree_zero",
     "qm_elliptic_closed",
     "qm_elliptic_oracle",

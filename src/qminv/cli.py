@@ -97,7 +97,9 @@ def _cmd_invariant(args) -> int:
         r=args.rank, d=args.deg_d, a=args.deg_a, w=args.degree_w, g=args.genus
     )
     routes = {"closed": (ROUTE_CLOSED,), "oracle": (ROUTE_ORACLE,), "both": (ROUTE_CLOSED, ROUTE_ORACLE)}[args.route]
-    if query.w == 0:
+    # the constant-map count is the elliptic-side closed form; any other
+    # side or route at w = 0 goes on to the w >= 1 gate, which refuses it
+    if query.w == 0 and args.side == "elliptic" and args.route != "oracle":
         results = [qm_degree_zero(query)]
     else:
         results = [_result_for(query, route, args.side, not args.permissive) for route in routes]

@@ -55,9 +55,9 @@ def unproven_reason(query: InvariantQuery) -> str | None:
     """Why an elliptic-side query with w >= 1 is outside the proven set.
 
     None when the query is proven: r is prime and every divisor of w is 0
-    or a mod r.  Every route and the conjectural formula share this one
-    decision; it ignores the congruence w = d*a mod r, so the 0 of an
-    unproven query off the congruence stays conjectural.
+    or a mod r.  Every route, on both sides, shares this one decision; it
+    ignores the congruence w = d*a mod r, so the 0 of an unproven query
+    off the congruence stays conjectural.
     """
     r, w = query.r, query.w
     if not is_prime(r):
@@ -111,24 +111,20 @@ def qm_elliptic_oracle(query: InvariantQuery, strict: bool = True) -> InvariantR
     degrees; the orientation is fixed so that (r,a)=(2,1), d=1, w=1, g=2
     gives +2.  When w != d*a mod r the moduli space is empty and the
     invariant vanishes before any component is reached.  ``strict`` has
-    the closed form's meaning.
+    the closed form's meaning, and a proven query with an unsupported
+    component raises ``RuntimeError``.
     """
     conjectural = _admit(query, strict)
     if not degree_congruent(query):
         return InvariantResult(Fraction(0), (), ROUTE_ORACLE, conjectural)
+    components = wall_components(query)
+    if not conjectural and not all(c.supported for c in components):
+        raise RuntimeError(f"the proven query r={query.r}, w={query.w} has an unsupported wall component")
     breakdown = tuple(
-        (c.divisor, component_residue_degree(c, query.g))
-        for c in wall_components(query)
+        (c.divisor, component_residue_degree(c, query.g)) for c in components
     )
     value = sum((contribution for _, contribution in breakdown), Fraction(0))
     return InvariantResult(value, breakdown, ROUTE_ORACLE, conjectural)
-
-
-def _moduli_scaled(query: InvariantQuery, base: InvariantResult) -> InvariantResult:
-    """An elliptic-side result times r^(2g), breakdown included."""
-    factor = Fraction(query.r) ** (2 * query.g)
-    breakdown = tuple((m, c * factor) for m, c in base.breakdown)
-    return InvariantResult(base.value_t * factor, breakdown, base.route, base.conjectural)
 
 
 def qm_moduli(
@@ -136,18 +132,20 @@ def qm_moduli(
 ) -> InvariantResult:
     """Moduli-side invariant: r^(2g) times the elliptic-side value.
 
-    Stability independence needs a prime rank.  The same number is the
-    Vafa-Witten invariant of the product surface, and for odd w the
-    genus-1 Gromov-Witten invariant of the moduli space.
+    Value and breakdown are the chosen elliptic route's, scaled by
+    r^(2g); ``strict`` is that route's proven-set gate
+    (``unproven_reason``).  With ``strict=False`` a composite rank gives
+    the conjectural all-rank formula, flagged conjectural.  The same
+    number is the Vafa-Witten invariant of the product surface, and for
+    odd w the genus-1 Gromov-Witten invariant of the moduli space.
     """
-    if not is_prime(query.r):
-        raise UnsupportedQueryError(
-            f"moduli-side correspondence needs a prime rank, got {query.r}"
-        )
     if route not in (ROUTE_CLOSED, ROUTE_ORACLE):
         raise ValueError(f"unknown route {route!r}")
     elliptic = qm_elliptic_closed if route == ROUTE_CLOSED else qm_elliptic_oracle
-    return _moduli_scaled(query, elliptic(query, strict=strict))
+    base = elliptic(query, strict=strict)
+    factor = Fraction(query.r) ** (2 * query.g)
+    breakdown = tuple((m, c * factor) for m, c in base.breakdown)
+    return InvariantResult(base.value_t * factor, breakdown, base.route, base.conjectural)
 
 
 def qm_degree_zero(query: InvariantQuery) -> InvariantResult:
@@ -163,24 +161,6 @@ def qm_degree_zero(query: InvariantQuery) -> InvariantResult:
         raise UnsupportedQueryError(f"constant-map count needs a prime rank, got {query.r}")
     value = Fraction(query.r ** (2 * query.g - 2)) if degree_congruent(query) else Fraction(0)
     return InvariantResult(value, (), ROUTE_CLOSED, False)
-
-
-def qm_conjectural(query: InvariantQuery) -> InvariantResult:
-    """The conjectural all-rank moduli-side formula.
-
-    The permissive closed form times r^(2g), for every rank.  A proven
-    query (``unproven_reason``) is cross-checked against the oracle and
-    comes back non-conjectural; any other is flagged.
-    """
-    result = _moduli_scaled(query, qm_elliptic_closed(query, strict=False))
-    if not result.conjectural:
-        oracle = qm_moduli(query, route=ROUTE_ORACLE, strict=True)
-        if oracle.value_t != result.value_t:
-            raise RuntimeError(
-                f"conjectural value {result.value_t} disagrees with the oracle "
-                f"{oracle.value_t} on a proven query"
-            )
-    return result
 
 
 class SeriesIdentity(namedtuple("SeriesIdentity", "lhs rhs equal")):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import qminv.cli as cli
+import qminv.invariants as invariants
 import qminv.quotloc as quotloc
 import qminv.selfcheck as selfcheck
 from qminv.arith import InvariantQuery
@@ -55,15 +56,16 @@ class TestInvariantCommand:
         assert json.loads(out)["value"] == "0"
 
     def test_degree_zero_constant_map(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "invariant", "-r", "2", "-d", "0", "-a", "1", "-w", "0", "-g", "2",
-            "--format", "json",
-        )
-        assert code == 0
-        record = json.loads(out)
-        assert record["value"] == "4"
-        assert record["route"] == "closed_form"
+        for route in ("closed", "both"):
+            code, out, _ = run(
+                capsys,
+                "invariant", "-r", "2", "-d", "0", "-a", "1", "-w", "0", "-g", "2",
+                "--route", route, "--format", "json",
+            )
+            assert code == 0
+            record = json.loads(out)
+            assert record["value"] == "4"
+            assert record["route"] == "closed_form"
 
     def test_moduli_side(self, capsys):
         code, out, _ = run(
@@ -305,16 +307,24 @@ class TestExitCodes:
                 "the rank 4 is not prime\n"
             )
 
-    def test_permissive_moduli_side_needs_prime_rank(self, capsys):
-        # --permissive lifts the proven-set gate, but the moduli-side
-        # correspondence itself is only stated for a prime rank
-        code, out, err = run(
-            capsys,
-            "invariant", "-r", "4", "-d", "1", "-a", "1", "-w", "1", "-g", "2",
-            "--side", "moduli", "--permissive",
-        )
+    def test_permissive_moduli_side_composite_rank_is_conjectural(self, capsys):
+        # one gate on both sides: strict mode refuses the composite rank with
+        # the gate's reason, --permissive gives the all-rank conjecture
+        argv = [
+            "invariant", "-r", "4", "-d", "1", "-a", "1", "-w", "5", "-g", "2",
+            "--side", "moduli", "--format", "json",
+        ]
+        code, out, err = run(capsys, *argv)
         assert (code, out) == (3, "")
-        assert err == "unsupported query: moduli-side correspondence needs a prime rank, got 4\n"
+        assert err == (
+            "unsupported query: no proven closed form for r=4, w=5: "
+            "the rank 4 is not prime\n"
+        )
+        code, out, err = run(capsys, *argv, "--permissive")
+        assert (code, err) == (0, "")
+        record = json.loads(out)
+        assert record["value"] == "3072/5"
+        assert record["conjectural"] is True
 
     @pytest.mark.parametrize("mode", ["--strict", "--permissive"], ids=["strict", "permissive"])
     @pytest.mark.parametrize("d", ["0", "1"])
@@ -328,6 +338,30 @@ class TestExitCodes:
         )
         assert (code, out) == (3, "")
         assert err == "unsupported query: constant-map count needs a prime rank, got 4\n"
+
+    @pytest.mark.parametrize(
+        "r, flags",
+        [
+            ("2", ["--side", "moduli"]),
+            ("2", ["--side", "moduli", "--route", "closed", "--permissive"]),
+            ("2", ["--side", "moduli", "--route", "oracle"]),
+            ("2", ["--route", "oracle"]),
+            ("3", ["--route", "oracle", "--permissive"]),
+            ("4", ["--side", "moduli"]),
+        ],
+    )
+    def test_degree_zero_is_elliptic_closed_form_only(self, capsys, r, flags):
+        # the constant-map count is the elliptic-side closed form; any other
+        # side or route at w = 0 reaches the w >= 1 gate, before any rank rule
+        code, out, err = run(
+            capsys,
+            "invariant", "-r", r, "-d", "0", "-a", "1", "-w", "0", "-g", "2", *flags,
+        )
+        assert (code, out) == (4, "")
+        assert err == (
+            "invalid input: an elliptic-side route needs w >= 1; "
+            "w = 0 is the constant-map case\n"
+        )
 
     def test_unsupported_off_congruence(self, capsys):
         # w = 5 != d*a mod 3: the moduli space is empty, but the query is
@@ -353,6 +387,27 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err == "internal check failed: fixed-locus enumeration gave 0\n"
+
+    @pytest.mark.parametrize("route", ["oracle", "both"])
+    def test_proven_query_with_unsupported_component(self, capsys, monkeypatch, route):
+        # the oracle checks the shared proven/unproven decision against its
+        # own components: a proven query must not reach the dim^2 fallback
+        original = invariants.wall_components
+
+        def one_unsupported(query):
+            return [original(query)[0]._replace(supported=False)]
+
+        monkeypatch.setattr(invariants, "wall_components", one_unsupported)
+        code, out, err = run(
+            capsys,
+            "invariant", "-r", "2", "-d", "1", "-a", "1", "-w", "3", "-g", "2",
+            "--route", route,
+        )
+        assert (code, out) == (2, "")
+        assert err == (
+            "internal check failed: the proven query r=2, w=3 has an "
+            "unsupported wall component\n"
+        )
 
 
 def _double_stabilizer(original):

@@ -57,6 +57,10 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
         ["invariant", "-r", "2", "-d", "1", "-a", "1", "-w", "0", "-g", "2", "--format", "json"], {}),
     "invariant_a2_w0_json": (
         ["invariant", "-r", "3", "-d", "0", "-a", "2", "-w", "0", "-g", "2", "--format", "json"], {}),
+    "invariant_exit4_w0_moduli": (
+        ["invariant", "-r", "2", "-d", "0", "-a", "1", "-w", "0", "-g", "2", "--side", "moduli"], {}),
+    "invariant_exit4_w0_oracle": (
+        ["invariant", "-r", "3", "-d", "0", "-a", "1", "-w", "0", "-g", "3", "--route", "oracle"], {}),
     "invariant_a2_permissive_table": (
         ["invariant", "-r", "5", "-d", "2", "-a", "2", "-w", "4", "-g", "2", "--route", "oracle",
          "--permissive"], {}),
@@ -80,6 +84,9 @@ CASES: dict[str, tuple[list[str], dict[str, str]]] = {
     "invariant_exit3_moduli": (
         ["invariant", "-r", "4", "-d", "1", "-a", "1", "-w", "1", "-g", "2", "--side", "moduli",
          "--route", "closed"], {}),
+    "invariant_moduli_composite_permissive_json": (
+        ["invariant", "-r", "4", "-d", "1", "-a", "1", "-w", "5", "-g", "2", "--side", "moduli",
+         "--permissive", "--format", "json"], {}),
     "invariant_exit3_composite_oracle": (
         ["invariant", "-r", "4", "-d", "1", "-a", "1", "-w", "5", "-g", "2", "--route", "oracle"], {}),
     "invariant_composite_permissive_json": (

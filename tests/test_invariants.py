@@ -4,7 +4,6 @@ from fractions import Fraction
 
 import pytest
 
-from qminv import invariants
 from qminv.arith import (
     InvariantQuery,
     canonical_u_choice,
@@ -18,7 +17,6 @@ from qminv.invariants import (
     SeriesIdentity,
     UnsupportedQueryError,
     degree_congruent,
-    qm_conjectural,
     qm_degree_zero,
     qm_elliptic_closed,
     qm_elliptic_oracle,
@@ -135,7 +133,7 @@ class TestModuliSide:
 
     def test_needs_prime_rank(self):
         query = InvariantQuery(r=9, d=1, a=1, w=1, g=2)
-        with pytest.raises(UnsupportedQueryError):
+        with pytest.raises(UnsupportedQueryError, match="the rank 9 is not prime"):
             qm_moduli(query)
 
 
@@ -212,39 +210,35 @@ class TestSeriesIdentities:
 
 
 class TestConjecturalFormula:
+    """The all-rank moduli-side formula is ``qm_moduli(q, strict=False)``."""
+
     def test_proven_case_cross_checked(self):
-        result = qm_conjectural(InvariantQuery(r=3, d=1, a=1, w=1, g=2))
+        query = InvariantQuery(r=3, d=1, a=1, w=1, g=2)
+        result = qm_moduli(query, strict=False)
         assert result.value_t == F(162)
         assert not result.conjectural
+        assert qm_moduli(query, route=ROUTE_ORACLE, strict=False).value_t == result.value_t
 
     def test_congruence_zero(self):
-        result = qm_conjectural(InvariantQuery(r=3, d=2, a=1, w=1, g=2))
+        result = qm_moduli(InvariantQuery(r=3, d=2, a=1, w=1, g=2), strict=False)
         assert result.value_t == 0
 
     def test_rank_five_flagged(self):
         u = canonical_u_choice(5, 2)
         incompatible = InvariantQuery(r=5, d=1, a=2, w=4, g=2, u_choice=u)
-        result = qm_conjectural(incompatible)
+        result = qm_moduli(incompatible, strict=False)
         assert result.value_t == 0
         assert result.conjectural
         compatible = InvariantQuery(r=5, d=2, a=2, w=4, g=2, u_choice=u)
-        result = qm_conjectural(compatible)
+        result = qm_moduli(compatible, strict=False)
         assert result.value_t == 2 * F(5) ** 4 * sigma_minus_one(4)
         assert result.conjectural
 
     def test_matches_moduli_closed_form_when_proven(self):
         for w in (1, 2, 3, 4, 6, 9):
             query = q2(w % 2, w, 3)
-            assert qm_conjectural(query).value_t == qm_moduli(query).value_t
-            assert not qm_conjectural(query).conjectural
-
-    def test_oracle_disagreement_on_a_proven_query_raises(self, monkeypatch):
-        def off_by_one(query, strict=True):
-            return InvariantResult(F(1), (), ROUTE_ORACLE, False)
-
-        monkeypatch.setattr(invariants, "qm_elliptic_oracle", off_by_one)
-        with pytest.raises(RuntimeError, match="disagrees with the oracle"):
-            qm_conjectural(q2(1, 3))
+            assert qm_moduli(query, strict=False) == qm_moduli(query)
+            assert not qm_moduli(query, strict=False).conjectural
 
 
 class TestInputChecks:

@@ -9,14 +9,13 @@ from fractions import Fraction
 import pytest
 
 import qminv.cli as cli
-from qminv.arith import ChernClass, InvariantQuery, canonical_u_choice, is_prime, sigma_minus_one
+from qminv.arith import ChernClass, InvariantQuery, canonical_u_choice, sigma_minus_one
 from qminv.exactalg import series_log_product
 from qminv.invariants import (
     ROUTE_CLOSED,
     ROUTE_ORACLE,
     UnsupportedQueryError,
     degree_congruent,
-    qm_conjectural,
     qm_elliptic_closed,
     qm_elliptic_oracle,
     qm_moduli,
@@ -97,10 +96,12 @@ def test_proven_queries_agree_exactly(query):
 
 
 @property_settings
-@given(queries())
-@example(COMPOSITE)
-def test_conjectural_flag_is_the_shared_decision(query):
-    assert qm_conjectural(query).conjectural == (unproven_reason(query) is not None)
+@given(queries(), st.sampled_from([ROUTE_CLOSED, ROUTE_ORACLE]))
+@example(COMPOSITE, ROUTE_CLOSED)
+@example(COMPOSITE, ROUTE_ORACLE)
+def test_conjectural_flag_is_the_shared_decision(query, route):
+    result = qm_moduli(query, route=route, strict=False)
+    assert result.conjectural == (unproven_reason(query) is not None)
 
 
 @property_settings
@@ -127,11 +128,9 @@ def test_off_congruence_is_zero_on_both_routes(query):
 @property_settings
 @given(queries(), st.sampled_from([ROUTE_CLOSED, ROUTE_ORACLE]), st.booleans())
 @example(InvariantQuery(r=3, d=2, a=1, w=5, g=2), ROUTE_CLOSED, False)
+@example(COMPOSITE, ROUTE_CLOSED, True)
+@example(COMPOSITE, ROUTE_ORACLE, False)
 def test_moduli_side_is_r_to_the_2g_times_elliptic(query, route, strict):
-    if not is_prime(query.r):
-        with pytest.raises(UnsupportedQueryError, match="prime rank"):
-            qm_moduli(query, route=route, strict=strict)
-        return
     elliptic_route = qm_elliptic_closed if route == ROUTE_CLOSED else qm_elliptic_oracle
     try:
         elliptic = elliptic_route(query, strict=strict)
@@ -149,7 +148,6 @@ def test_moduli_side_is_r_to_the_2g_times_elliptic(query, route, strict):
 @property_settings
 @given(queries(), st.sampled_from(["elliptic", "moduli"]))
 def test_json_values_round_trip_through_fraction(query, side):
-    assume(side == "elliptic" or is_prime(query.r))
     argv = [
         "invariant", "-r", str(query.r), "-d", str(query.d), "-a", str(query.a),
         "-w", str(query.w), "-g", str(query.g), "--side", side,

@@ -16,9 +16,12 @@ F-string message text is not mutated.  Every mutant is written into one
 temporary copy of the checkout this script sits in (``TMPDIR`` decides
 where) and judged by two detectors, one subprocess at a time:
 
-1. ``run_selfcheck()`` plus five ``sweep`` grids (both routes): four strict
-   ones with a = 1, at r = 2 and, on proven degrees only, at r = 3, and a
-   permissive one at r = 3, a = 2, the only grid where ch2 is not 0;
+1. ``run_selfcheck()`` plus CLI commands, each with its expected exit
+   code: five ``sweep`` grids (both routes; four strict ones with a = 1,
+   at r = 2 and, on proven degrees only, at r = 3, and a permissive one
+   at r = 3, a = 2, the only grid where ch2 is not 0), and two composite
+   rank queries: r = 4 must exit 3 in strict mode and 0 on the permissive
+   moduli side, and r = 9 must exit 3;
 2. the tier-1 test suite, on the mutants stage 1 left alive.
 
 A detector that fails, raises or runs past its time limit kills the
@@ -74,14 +77,20 @@ COMPARE_FLIPS = {
     ast.IsNot: ast.Is,
 }
 
-SWEEPS = [
-    ["sweep", "-r", "2", "-d", "0", "-a", "1", "--w-max", "40", "--g", "2..3"],
-    ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", "40", "--g", "2..3"],
+# (argv, expected exit code)
+COMMANDS = [
+    (["sweep", "-r", "2", "-d", "0", "-a", "1", "--w-max", "40", "--g", "2..3"], 0),
+    (["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", "40", "--g", "2..3"], 0),
     # r = 3 on proven degrees only: every divisor of w is 0 or 1 mod 3
-    ["sweep", "-r", "3", "-d", "0", "-a", "1", "--w-list", "1,3,7,9,21,27,39,63,81", "--g", "2..3"],
-    ["sweep", "-r", "3", "-d", "1", "-a", "1", "--w-list", "1,3,7,13,49,91", "--g", "2..3"],
+    (["sweep", "-r", "3", "-d", "0", "-a", "1", "--w-list", "1,3,7,9,21,27,39,63,81", "--g", "2..3"], 0),
+    (["sweep", "-r", "3", "-d", "1", "-a", "1", "--w-list", "1,3,7,13,49,91", "--g", "2..3"], 0),
     # a = 2 is the only grid where ch2 != 0; none of its degrees is proven
-    ["sweep", "-r", "3", "-d", "1", "-a", "2", "--w-max", "40", "--g", "2..3", "--permissive"],
+    (["sweep", "-r", "3", "-d", "1", "-a", "2", "--w-max", "40", "--g", "2..3", "--permissive"], 0),
+    # a composite rank is never proven, on either side; 9 is the least odd
+    # one, where is_prime's trial division, not its parity test, decides
+    (["invariant", "-r", "4", "-d", "1", "-a", "1", "-w", "5", "-g", "2"], 3),
+    (["invariant", "-r", "4", "-d", "1", "-a", "1", "-w", "5", "-g", "2", "--side", "moduli", "--permissive"], 0),
+    (["invariant", "-r", "9", "-d", "1", "-a", "1", "-w", "1", "-g", "2"], 3),
 ]
 
 STAGE1 = f"""
@@ -89,11 +98,11 @@ import contextlib, io, sys
 from qminv.cli import main
 from qminv.selfcheck import run_selfcheck
 failed = [name for name, ok, _ in run_selfcheck() if not ok]
-for argv in {SWEEPS!r}:
+for argv, expected in {COMMANDS!r}:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
-    if code:
-        failed.append(" ".join(argv) + " -> exit " + str(code))
+    if code != expected:
+        failed.append(" ".join(argv) + " -> exit " + str(code) + ", expected " + str(expected))
 print("\\n".join(failed))
 sys.exit(1 if failed else 0)
 """
@@ -304,7 +313,7 @@ def main() -> int:
         "# Regenerate with: python tools/mutate.py",
         f"score: {dead}/{scored} killed ({100 * dead / scored:.1f} %), explained equivalents left out",
         f"raw: {dead}/{total} mutants killed, {total - scored} explained as equivalent",
-        f"stage 1 (run_selfcheck + sweeps at r = 2, 3 and a = 1, 2): {killed[1]} killed",
+        f"stage 1 (run_selfcheck + CLI commands, each with its exit code): {killed[1]} killed",
         f"stage 2 (tier-1 suite on the stage-1 survivors): {killed[2]} killed",
         f"survivors: {len(survivors)}, unexplained: {len(unexplained)}",
         "",
