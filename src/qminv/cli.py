@@ -48,7 +48,6 @@ EXIT_UNSUPPORTED = 3
 EXIT_INVALID = 4
 
 DEFAULT_SERIES_ORDER = 50
-TRUNCATION_ENV = "QM_TRUNCATION_DEFAULT"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -303,8 +302,8 @@ def build_parser() -> _Parser:
     ser.add_argument(
         "--order",
         type=int,
-        default=os.environ.get(TRUNCATION_ENV, DEFAULT_SERIES_ORDER),
-        help=f"truncation order (default: ${TRUNCATION_ENV} or {DEFAULT_SERIES_ORDER})",
+        default=DEFAULT_SERIES_ORDER,
+        help=f"truncation order (default: {DEFAULT_SERIES_ORDER})",
     )
     _add_output_flags(ser)
 

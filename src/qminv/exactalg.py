@@ -5,13 +5,11 @@ point is used anywhere.  Two coefficient types live here:
 
 * ``QSeries`` -- truncated formal power series in ``q`` over ``Fraction``,
   used for the generating-series identities.
-* ``EquivCoeff`` -- the residue engine's coefficients ``s(t) + o(t)*omega``
-  with ``s`` and ``o`` linear in ``t``, where ``omega`` stands for the
-  first Chern class of the canonical bundle of the base curve and ``t``
-  is the equivariant weight of the scaling torus.  A coefficient is
-  written as a literal and only ever scaled; the caller reads its slots
-  (``scalar[1]`` is the ``t`` coefficient, ``omega_part[0]`` the
-  ``omega`` one).
+* ``EquivCoeff`` -- the residue engine's coefficients
+  ``const + t*t + omega*omega``, where ``omega`` stands for the first
+  Chern class of the canonical bundle of the base curve and ``t`` is the
+  equivariant weight of the scaling torus.  A coefficient is written as
+  a literal and only ever scaled; the caller reads its fields.
 
 An expansion in the localisation variable ``z`` is a plain ``dict`` from
 exponent to ``EquivCoeff``; its producer decides which terms it holds,
@@ -29,10 +27,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-
-# The residue engine's t-polynomials are cut above t**T_CAP.  The
-# invariants live in t-degree <= 1, and scaling never raises the degree.
-T_CAP = 1
 
 _ZERO = Fraction(0)
 
@@ -162,41 +156,26 @@ def series_log_product(order: int) -> QSeries:
     return QSeries((_ZERO, *(Fraction(-sigma[w], w) for w in range(1, order + 1))))
 
 
-def _as_tpoly(value) -> tuple[Fraction, ...]:
-    poly = tuple(map(_as_fraction, value[: T_CAP + 1]))
-    return poly + (_ZERO,) * (T_CAP + 1 - len(poly))
+class EquivCoeff(namedtuple("EquivCoeff", "const t omega")):
+    """Residue coefficient ``const + t * t + omega * omega``.
 
-
-def _tpoly_scale(c: Fraction, poly) -> tuple[Fraction, ...]:
-    return tuple(c * v if v else v for v in poly)
-
-
-class EquivCoeff(namedtuple("EquivCoeff", "scalar omega_part")):
-    """Residue coefficient ``scalar(t) + omega_part(t) * omega``.
-
-    Both parts are tuples of ``T_CAP + 1`` coefficients of ``t``; input
-    above ``t**T_CAP`` is dropped, on ``_replace`` and ``_make`` too.  The
-    only operation is ``scale``, so nothing can leave the two linear parts.
+    Each field is the coefficient of the variable it is named after.
+    Degree-2 terms (t**2, t*omega) are not represented: the base is a
+    curve, and the value is read in t-degree 1.  The only operation is
+    ``scale``, so nothing can leave the three slots.
     """
 
     __slots__ = ()
 
-    def __new__(cls, scalar: tuple = (), omega_part: tuple = ()):
-        return tuple.__new__(cls, (_as_tpoly(scalar), _as_tpoly(omega_part)))
+    def __new__(cls, const=0, t=0, omega=0):
+        return tuple.__new__(cls, map(_as_fraction, (const, t, omega)))
 
     # namedtuple's own _make, behind _replace, would skip the coercion
     _make = classmethod(lambda cls, it: cls(*it))
 
-    @classmethod
-    def _of(cls, scalar: tuple, omega_part: tuple) -> "EquivCoeff":
-        """Wrap two full-length Fraction tuples without coercing them again."""
-        return tuple.__new__(cls, (scalar, omega_part))
-
     def scale(self, c) -> "EquivCoeff":
         c = _as_fraction(c)
-        return EquivCoeff._of(
-            _tpoly_scale(c, self.scalar), _tpoly_scale(c, self.omega_part)
-        )
+        return tuple.__new__(EquivCoeff, [c * v if v else v for v in self])
 
 
 # EquivCoeff is immutable, so one zero serves every residue without a pole:

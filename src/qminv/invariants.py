@@ -72,13 +72,13 @@ def unproven_reason(query: InvariantQuery) -> str | None:
 
 
 def _admit(query: InvariantQuery, strict: bool) -> bool:
-    """Both elliptic routes' admission gate; returns the conjectural flag.
+    """Every w >= 1 route's admission gate; returns the conjectural flag.
 
     w < 1 is invalid; outside the proven set (``unproven_reason``) a query
     is unsupported when ``strict`` and conjectural otherwise.
     """
     if query.w < 1:
-        raise ValueError("an elliptic-side route needs w >= 1; w = 0 is the constant-map case")
+        raise ValueError("a positive-degree route needs w >= 1; w = 0 is the elliptic-side constant-map count")
     reason = unproven_reason(query)
     if strict and reason is not None:
         raise UnsupportedQueryError(reason)

@@ -87,8 +87,8 @@ def slice_euler_bruteforce(r: int, u: ChernClass) -> int:
 
 # The z^0 term, and c_1 per unit of dimension: omega - t.  An EquivCoeff is
 # immutable, so every expansion can share them without copying.
-_ONE = EquivCoeff((1,))
-_C1_UNIT = EquivCoeff((0, -1), (1,))
+_ONE = EquivCoeff(1)
+_C1_UNIT = EquivCoeff(t=-1, omega=1)
 
 
 def normal_bundle_inverse_expansion(m: int, dim: int) -> dict[int, EquivCoeff]:
@@ -173,4 +173,4 @@ def component_residue_degree(component: WallComponent, genus: int) -> Fraction:
         normal_bundle_inverse_expansion(component.divisor, component.dim)
     )
     euler_ratio = Fraction(component.slice_euler, component.stab_order)
-    return residue.scalar[1] * (2 * genus - 2) * euler_ratio
+    return residue.t * (2 * genus - 2) * euler_ratio

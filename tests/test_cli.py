@@ -359,8 +359,8 @@ class TestExitCodes:
         )
         assert (code, out) == (4, "")
         assert err == (
-            "invalid input: an elliptic-side route needs w >= 1; "
-            "w = 0 is the constant-map case\n"
+            "invalid input: a positive-degree route needs w >= 1; "
+            "w = 0 is the elliptic-side constant-map count\n"
         )
 
     def test_unsupported_off_congruence(self, capsys):
@@ -435,7 +435,7 @@ class TestOracleCanDisagree:
             ("stabilizer_order", _double_stabilizer, "3", "1"),
             ("normal_bundle_inverse_expansion", _negate_pole, "3", "1"),
             # c_1 per unit of dimension is omega + t in place of omega - t
-            ("_C1_UNIT", lambda original: EquivCoeff((0, 1), (1,)), "3", "1"),
+            ("_C1_UNIT", lambda original: EquivCoeff(t=1, omega=1), "3", "1"),
             # w = 6 has a rank-0 component; at w = 3 the brute force never runs
             ("slice_euler_bruteforce", _shift_slice_euler, "6", "0"),
         ],
@@ -487,32 +487,18 @@ class TestSeriesCommand:
         )
         assert code == 0
 
-    def test_order_from_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("QM_TRUNCATION_DEFAULT", "6")
+    @pytest.mark.parametrize("env", [None, "6"])
+    def test_default_order_ignores_the_environment(self, capsys, monkeypatch, env):
+        # the default is a constant; the library reads no environment variable
+        if env is None:
+            monkeypatch.delenv("QM_TRUNCATION_DEFAULT", raising=False)
+        else:
+            monkeypatch.setenv("QM_TRUNCATION_DEFAULT", env)
         code, out, _ = run(
             capsys, "series", "--identity", "A", "--genus", "2", "--format", "json"
         )
         assert code == 0
-        assert json.loads(out)["order"] == 6
-
-    def test_non_integer_order_environment(self, capsys, monkeypatch):
-        monkeypatch.setenv("QM_TRUNCATION_DEFAULT", "abc")
-        code, out, _ = run(
-            capsys,
-            "invariant", "-r", "2", "-d", "1", "-a", "1", "-w", "1", "-g", "2",
-            "--format", "json",
-        )
-        assert code == 0
-        assert json.loads(out)["value"] == "2"
-        code, out, err = run(capsys, "series", "--identity", "A", "--genus", "2")
-        assert code == 4
-        assert out == ""
-        assert "invalid int value: 'abc'" in err
-        code, out, _ = run(
-            capsys, "series", "--identity", "A", "--genus", "2", "--order", "3"
-        )
-        assert code == 0
-        assert "PASS" in out
+        assert json.loads(out)["order"] == 50
 
     def test_invalid_order(self, capsys):
         for order in ("0", "-3"):

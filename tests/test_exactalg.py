@@ -6,13 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from qminv.exactalg import (
-    T_CAP,
-    EquivCoeff,
-    QSeries,
-    laurent_residue,
-    series_log_product,
-)
+from qminv.exactalg import EquivCoeff, QSeries, laurent_residue, series_log_product
 
 F = Fraction
 
@@ -160,41 +154,41 @@ class TestQSeriesRecord:
 
 
 class TestEquivCoeff:
-    def test_input_above_t_cap_is_dropped(self):
-        x = EquivCoeff((1, 2, 3, 4, 5), (6, 7, 8, 9))
-        assert x.scalar == (F(1), F(2))
-        assert x.omega_part == (F(6), F(7))
-
-    def test_replace_coerces_and_truncates(self):
-        x = EquivCoeff((5,))._replace(scalar=(1, 2, 3))
-        assert x.scalar == (F(1), F(2))
-        assert type(x.scalar[0]) is Fraction
-        assert x.omega_part == (F(0), F(0))
-
-    def test_rejects_a_bare_number(self):
+    def test_three_slots(self):
+        assert EquivCoeff._fields == ("const", "t", "omega")
+        assert EquivCoeff() == (F(0), F(0), F(0))
         with pytest.raises(TypeError):
-            EquivCoeff(5)
+            EquivCoeff(1, 2, 3, 4)
+
+    def test_old_tuple_slot_form_raises(self):
+        with pytest.raises(TypeError):
+            EquivCoeff((1,))
+        with pytest.raises(TypeError):
+            EquivCoeff((0, -1), (1,))
+
+    def test_replace_coerces(self):
+        x = EquivCoeff(5)._replace(t=2)
+        assert x == EquivCoeff(5, 2, 0)
+        assert type(x.t) is Fraction
 
     def test_keyword_construction_is_read_only(self):
-        x = EquivCoeff(scalar=(1,), omega_part=(0, 2))
-        assert x == EquivCoeff((1, 0), (0, 2))
+        x = EquivCoeff(const=1, omega=2)
+        assert x == EquivCoeff(1, 0, 2)
         with pytest.raises(AttributeError):
-            x.scalar = (F(0), F(0))
+            x.t = F(0)
 
 
 class TestSparseEquivCoeff:
     """``scale`` skips zero slots; a dense reference checks them.
 
-    The reference below scales every slot, zero or not, on plain lists.
-    Inputs are mostly zero, mix ``int`` and ``Fraction`` slots and may be
-    shorter than T_CAP + 1, so every shortcut is taken.
+    The reference below scales every slot, zero or not, on a plain list.
+    Inputs are mostly zero and mix ``int`` and ``Fraction`` slots, so
+    every shortcut is taken.
     """
-
-    N = T_CAP + 1
 
     @staticmethod
     def reference(x, c):
-        return [F(c) * F(v) for v in x.scalar], [F(c) * F(v) for v in x.omega_part]
+        return [F(c) * F(v) for v in x]
 
     def test_zero_skipping_matches_dense_reference(self):
         hypothesis = pytest.importorskip("hypothesis")
@@ -207,34 +201,32 @@ class TestSparseEquivCoeff:
             st.integers(-4, 4),
             st.fractions(min_value=-3, max_value=3, max_denominator=5),
         )
-        part = st.lists(slot, max_size=self.N).map(tuple)
-        coeffs = st.builds(EquivCoeff, part, part)
+        coeffs = st.builds(EquivCoeff, slot, slot, slot)
 
         @hypothesis.settings(derandomize=True, deadline=None, max_examples=200)
         @hypothesis.given(coeffs, slot)
         def check(x, c):
             result = x.scale(c)
-            assert (list(result.scalar), list(result.omega_part)) == self.reference(x, c)
-            for slots in (result.scalar, result.omega_part):
-                assert len(slots) == self.N
-                assert all(type(v) is F for v in slots)
+            assert list(result) == self.reference(x, c)
+            assert type(result) is EquivCoeff
+            assert all(type(v) is F for v in result)
 
         check()
 
 
 class TestLaurentResidue:
     def test_residue_direct_readoff(self):
-        t_omega = EquivCoeff((), (0, 1))
-        f = {0: EquivCoeff((1,)), -1: t_omega}
-        assert laurent_residue(f) == t_omega
+        pole = EquivCoeff(t=3, omega=1)
+        f = {0: EquivCoeff(1), -1: pole}
+        assert laurent_residue(f) == pole
 
     def test_no_pole_gives_zero(self):
-        f = {0: EquivCoeff((5,))}
+        f = {0: EquivCoeff(5)}
         assert laurent_residue(f) == EquivCoeff()
 
     def test_geometric_expansion_residue(self):
         # sum_k (-m z)^(-k) c_k with c_0 = 1, c_1 = c has residue -c/m
         m = 3
-        c = EquivCoeff((0, 2), (1,))
-        f = {0: EquivCoeff((1,)), -1: c.scale(F(-1, m))}
+        c = EquivCoeff(t=2, omega=1)
+        f = {0: EquivCoeff(1), -1: c.scale(F(-1, m))}
         assert laurent_residue(f) == c.scale(F(-1, m))

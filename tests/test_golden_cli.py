@@ -27,133 +27,130 @@ GOLDEN = Path(__file__).parent / "golden"
 
 INV = ["invariant", "-r", "2", "-d", "1", "-a", "1", "-w", "3", "-g", "2"]
 
-# name -> (argv, extra environment)
-CASES: dict[str, tuple[list[str], dict[str, str]]] = {
-    "invariant_both_table": (INV, {}),
-    "invariant_both_json": (INV + ["--format", "json"], {}),
+# name -> argv
+CASES: dict[str, list[str]] = {
+    "invariant_both_table": INV,
+    "invariant_both_json": INV + ["--format", "json"],
     "invariant_both_parity_zero_json": (
-        ["invariant", "-r", "2", "-d", "0", "-a", "1", "-w", "3", "-g", "2", "--format", "json"], {}),
+        ["invariant", "-r", "2", "-d", "0", "-a", "1", "-w", "3", "-g", "2", "--format", "json"]),
     "invariant_closed_table": (
-        ["invariant", "-r", "2", "-d", "0", "-a", "1", "-w", "12", "-g", "4", "--route", "closed"], {}),
+        ["invariant", "-r", "2", "-d", "0", "-a", "1", "-w", "12", "-g", "4", "--route", "closed"]),
     "invariant_closed_json": (
         ["invariant", "-r", "2", "-d", "0", "-a", "1", "-w", "12", "-g", "4", "--route", "closed",
-         "--format", "json"], {}),
+         "--format", "json"]),
     "invariant_oracle_table": (
-        ["invariant", "-r", "3", "-d", "1", "-a", "1", "-w", "9", "-g", "3", "--route", "oracle"], {}),
+        ["invariant", "-r", "3", "-d", "1", "-a", "1", "-w", "9", "-g", "3", "--route", "oracle"]),
     "invariant_oracle_json": (
         ["invariant", "-r", "2", "-d", "0", "-a", "1", "-w", "6", "-g", "3", "--route", "oracle",
-         "--format", "json"], {}),
-    "invariant_moduli_both_table": (INV[:8] + ["1", "-g", "2", "--side", "moduli"], {}),
+         "--format", "json"]),
+    "invariant_moduli_both_table": INV[:8] + ["1", "-g", "2", "--side", "moduli"],
     "invariant_moduli_oracle_json": (
         ["invariant", "-r", "2", "-d", "1", "-a", "1", "-w", "5", "-g", "3", "--side", "moduli",
-         "--route", "oracle", "--format", "json"], {}),
-    "invariant_raw_decimal_table": (INV + ["--raw", "--decimal"], {}),
-    "invariant_raw_decimal_json": (INV + ["--raw", "--decimal", "--format", "json"], {}),
+         "--route", "oracle", "--format", "json"]),
+    "invariant_raw_decimal_table": INV + ["--raw", "--decimal"],
+    "invariant_raw_decimal_json": INV + ["--raw", "--decimal", "--format", "json"],
     "invariant_w0_table": (
-        ["invariant", "-r", "2", "-d", "0", "-a", "1", "-w", "0", "-g", "2"], {}),
+        ["invariant", "-r", "2", "-d", "0", "-a", "1", "-w", "0", "-g", "2"]),
     "invariant_w0_json": (
-        ["invariant", "-r", "3", "-d", "0", "-a", "1", "-w", "0", "-g", "3", "--format", "json"], {}),
+        ["invariant", "-r", "3", "-d", "0", "-a", "1", "-w", "0", "-g", "3", "--format", "json"]),
     "invariant_w0_empty_json": (
-        ["invariant", "-r", "2", "-d", "1", "-a", "1", "-w", "0", "-g", "2", "--format", "json"], {}),
+        ["invariant", "-r", "2", "-d", "1", "-a", "1", "-w", "0", "-g", "2", "--format", "json"]),
     "invariant_a2_w0_json": (
-        ["invariant", "-r", "3", "-d", "0", "-a", "2", "-w", "0", "-g", "2", "--format", "json"], {}),
+        ["invariant", "-r", "3", "-d", "0", "-a", "2", "-w", "0", "-g", "2", "--format", "json"]),
     "invariant_exit4_w0_moduli": (
-        ["invariant", "-r", "2", "-d", "0", "-a", "1", "-w", "0", "-g", "2", "--side", "moduli"], {}),
+        ["invariant", "-r", "2", "-d", "0", "-a", "1", "-w", "0", "-g", "2", "--side", "moduli"]),
     "invariant_exit4_w0_oracle": (
-        ["invariant", "-r", "3", "-d", "0", "-a", "1", "-w", "0", "-g", "3", "--route", "oracle"], {}),
+        ["invariant", "-r", "3", "-d", "0", "-a", "1", "-w", "0", "-g", "3", "--route", "oracle"]),
     "invariant_a2_permissive_table": (
         ["invariant", "-r", "5", "-d", "2", "-a", "2", "-w", "4", "-g", "2", "--route", "oracle",
-         "--permissive"], {}),
+         "--permissive"]),
     "invariant_a2_permissive_json": (
         ["invariant", "-r", "5", "-d", "2", "-a", "2", "-w", "4", "-g", "2", "--route", "oracle",
-         "--permissive", "--format", "json"], {}),
+         "--permissive", "--format", "json"]),
     "invariant_permissive_json": (
         ["invariant", "-r", "3", "-d", "2", "-a", "1", "-w", "5", "-g", "2", "--route", "oracle",
-         "--permissive", "--format", "json"], {}),
+         "--permissive", "--format", "json"]),
     "invariant_both_permissive_json": (
         ["invariant", "-r", "3", "-d", "2", "-a", "1", "-w", "5", "-g", "2", "--permissive",
-         "--format", "json"], {}),
+         "--format", "json"]),
     "invariant_closed_permissive_table": (
         ["invariant", "-r", "3", "-d", "2", "-a", "1", "-w", "5", "-g", "2", "--route", "closed",
-         "--permissive"], {}),
-    "invariant_out_file": (INV + ["--decimal", "--out", "OUT"], {}),
+         "--permissive"]),
+    "invariant_out_file": INV + ["--decimal", "--out", "OUT"],
     "invariant_exit3_oracle": (
-        ["invariant", "-r", "3", "-d", "2", "-a", "1", "-w", "5", "-g", "2", "--route", "oracle"], {}),
+        ["invariant", "-r", "3", "-d", "2", "-a", "1", "-w", "5", "-g", "2", "--route", "oracle"]),
     "invariant_exit3_both": (
-        ["invariant", "-r", "3", "-d", "2", "-a", "1", "-w", "5", "-g", "2"], {}),
+        ["invariant", "-r", "3", "-d", "2", "-a", "1", "-w", "5", "-g", "2"]),
     "invariant_exit3_moduli": (
         ["invariant", "-r", "4", "-d", "1", "-a", "1", "-w", "1", "-g", "2", "--side", "moduli",
-         "--route", "closed"], {}),
+         "--route", "closed"]),
     "invariant_moduli_composite_permissive_json": (
         ["invariant", "-r", "4", "-d", "1", "-a", "1", "-w", "5", "-g", "2", "--side", "moduli",
-         "--permissive", "--format", "json"], {}),
+         "--permissive", "--format", "json"]),
     "invariant_exit3_composite_oracle": (
-        ["invariant", "-r", "4", "-d", "1", "-a", "1", "-w", "5", "-g", "2", "--route", "oracle"], {}),
+        ["invariant", "-r", "4", "-d", "1", "-a", "1", "-w", "5", "-g", "2", "--route", "oracle"]),
     "invariant_composite_permissive_json": (
         ["invariant", "-r", "4", "-d", "1", "-a", "1", "-w", "5", "-g", "2", "--route", "oracle",
-         "--permissive", "--format", "json"], {}),
+         "--permissive", "--format", "json"]),
     "invariant_exit3_composite_closed": (
-        ["invariant", "-r", "4", "-d", "1", "-a", "1", "-w", "5", "-g", "2", "--route", "closed"], {}),
+        ["invariant", "-r", "4", "-d", "1", "-a", "1", "-w", "5", "-g", "2", "--route", "closed"]),
     "invariant_exit3_w0_composite_off_congruence": (
-        ["invariant", "-r", "4", "-d", "1", "-a", "1", "-w", "0", "-g", "2"], {}),
-    "invariant_exit4_negative_w": (INV[:8] + ["-3", "-g", "2"], {}),
+        ["invariant", "-r", "4", "-d", "1", "-a", "1", "-w", "0", "-g", "2"]),
+    "invariant_exit4_negative_w": INV[:8] + ["-3", "-g", "2"],
     "invariant_exit4_bad_a": (
-        ["invariant", "-r", "4", "-d", "1", "-a", "2", "-w", "1", "-g", "2"], {}),
-    "invariant_exit4_usage": (["invariant", "-r", "2"], {}),
-    "exit4_no_command": ([], {}),
-    "series_a_table": (["series", "--identity", "A", "--genus", "2", "--order", "10"], {}),
+        ["invariant", "-r", "4", "-d", "1", "-a", "2", "-w", "1", "-g", "2"]),
+    "invariant_exit4_usage": ["invariant", "-r", "2"],
+    "exit4_no_command": [],
+    "series_a_table": ["series", "--identity", "A", "--genus", "2", "--order", "10"],
     "series_a_json": (
-        ["series", "--identity", "A", "--genus", "3", "--order", "9", "--format", "json"], {}),
-    "series_b_table": (["series", "--identity", "B", "--genus", "3", "--order", "12"], {}),
+        ["series", "--identity", "A", "--genus", "3", "--order", "9", "--format", "json"]),
+    "series_b_table": ["series", "--identity", "B", "--genus", "3", "--order", "12"],
     "series_b_json_out": (
         ["series", "--identity", "B", "--genus", "2", "--order", "8", "--format", "json",
-         "--out", "OUT"], {}),
-    "series_order_from_env": (
-        ["series", "--identity", "A", "--genus", "2"], {"QM_TRUNCATION_DEFAULT": "6"}),
-    "series_exit4_order_zero": (["series", "--identity", "A", "--genus", "2", "--order", "0"], {}),
+         "--out", "OUT"]),
+    "series_exit4_order_zero": ["series", "--identity", "A", "--genus", "2", "--order", "0"],
     "sweep_w_max_table": (
-        ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", "6", "--g", "2..3"], {}),
+        ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", "6", "--g", "2..3"]),
     "sweep_w_max_json": (
-        ["sweep", "-r", "2", "-d", "0", "-a", "1", "--w-max", "8", "--g", "2,4", "--format", "json"], {}),
+        ["sweep", "-r", "2", "-d", "0", "-a", "1", "--w-max", "8", "--g", "2,4", "--format", "json"]),
     "sweep_w_list_json": (
-        ["sweep", "-r", "3", "-d", "1", "-a", "1", "--w-list", "1,3,9", "--g", "2", "--format", "json"], {}),
+        ["sweep", "-r", "3", "-d", "1", "-a", "1", "--w-list", "1,3,9", "--g", "2", "--format", "json"]),
     "sweep_w_list_a2_table": (
-        ["sweep", "-r", "3", "-d", "1", "-a", "2", "--w-list", "2,3,6", "--g", "3"], {}),
+        ["sweep", "-r", "3", "-d", "1", "-a", "2", "--w-list", "2,3,6", "--g", "3"]),
     "sweep_permissive_table": (
-        ["sweep", "-r", "3", "-d", "2", "-a", "1", "--w-list", "2,5", "--g", "2", "--permissive"], {}),
+        ["sweep", "-r", "3", "-d", "2", "-a", "1", "--w-list", "2,5", "--g", "2", "--permissive"]),
     "sweep_permissive_json": (
         ["sweep", "-r", "3", "-d", "2", "-a", "1", "--w-list", "2,5", "--g", "2", "--permissive",
-         "--format", "json"], {}),
+         "--format", "json"]),
     "sweep_out_file": (
-        ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", "3", "--g", "2", "--out", "OUT"], {}),
-    "sweep_empty_w_max": (["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", "0", "--g", "2"], {}),
+        ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", "3", "--g", "2", "--out", "OUT"]),
+    "sweep_empty_w_max": ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", "0", "--g", "2"],
     "sweep_exit3_strict": (
-        ["sweep", "-r", "3", "-d", "2", "-a", "1", "--w-list", "5", "--g", "2"], {}),
+        ["sweep", "-r", "3", "-d", "2", "-a", "1", "--w-list", "5", "--g", "2"]),
     "sweep_exit3_strict_partial": (
-        ["sweep", "-r", "3", "-d", "1", "-a", "1", "--w-list", "1,4", "--g", "2"], {}),
-    "sweep_exit4_usage": (["sweep", "-r", "2", "-d", "1", "-a", "1", "--g", "2"], {}),
-    "sweep_exit4_w_list_zero": (["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-list", "1,0", "--g", "2"], {}),
-    "sweep_exit4_negative_w_max": (["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", "-3", "--g", "2"], {}),
-    "sweep_exit4_w_list_empty": (["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-list", ",", "--g", "2"], {}),
-    "selfcheck": (["selfcheck"], {}),
+        ["sweep", "-r", "3", "-d", "1", "-a", "1", "--w-list", "1,4", "--g", "2"]),
+    "sweep_exit4_usage": ["sweep", "-r", "2", "-d", "1", "-a", "1", "--g", "2"],
+    "sweep_exit4_w_list_zero": ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-list", "1,0", "--g", "2"],
+    "sweep_exit4_negative_w_max": ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", "-3", "--g", "2"],
+    "sweep_exit4_w_list_empty": ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-list", ",", "--g", "2"],
+    "selfcheck": ["selfcheck"],
 }
 
 
-def run_case(argv: list[str], env: dict[str, str], out_path: Path) -> dict:
+def run_case(argv: list[str], out_path: Path) -> dict:
     """Run one case in-process; returns exit code, streams and --out content."""
     argv = [str(out_path) if arg == "OUT" else arg for arg in argv]
-    saved = {key: os.environ.get(key) for key in ("COLUMNS", *env)}
-    os.environ.update({"COLUMNS": "80", **env})
+    saved = os.environ.get("COLUMNS")
+    os.environ["COLUMNS"] = "80"
     stdout, stderr = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = cli.main(argv)
     finally:
-        for key, value in saved.items():
-            if value is None:
-                os.environ.pop(key, None)
-            else:
-                os.environ[key] = value
+        if saved is None:
+            os.environ.pop("COLUMNS", None)
+        else:
+            os.environ["COLUMNS"] = saved
     out_file = out_path.read_text(encoding="utf-8") if out_path.exists() else None
     return {
         "exit": code,
@@ -169,16 +166,15 @@ def test_corpus_files_match_cases():
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_case(name, tmp_path):
-    argv, env = CASES[name]
     expected = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
-    assert run_case(argv, env, tmp_path / "out.json") == expected
+    assert run_case(CASES[name], tmp_path / "out.json") == expected
 
 
 def record() -> None:
     GOLDEN.mkdir(exist_ok=True)
-    for name, (argv, env) in CASES.items():
+    for name, argv in CASES.items():
         with tempfile.TemporaryDirectory() as tmp:
-            result = run_case(argv, env, Path(tmp) / "out.json")
+            result = run_case(argv, Path(tmp) / "out.json")
         (GOLDEN / f"{name}.json").write_text(json.dumps(result, indent=1) + "\n", encoding="utf-8")
 
 

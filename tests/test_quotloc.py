@@ -138,12 +138,12 @@ class TestProjectiveSliceEuler:
 class TestNormalBundleExpansion:
     def test_unit_divisor(self):
         f = normal_bundle_inverse_expansion(1, 1)
-        assert f[0] == EquivCoeff((1,))
-        assert laurent_residue(f) == EquivCoeff((0, 1), (-1,))
+        assert f[0] == EquivCoeff(1)
+        assert laurent_residue(f) == EquivCoeff(t=1, omega=-1)
 
     def test_divisor_three(self):
         f = normal_bundle_inverse_expansion(3, 1)
-        assert laurent_residue(f) == EquivCoeff((0, F(1, 3)), (F(-1, 3),))
+        assert laurent_residue(f) == EquivCoeff(t=F(1, 3), omega=F(-1, 3))
 
     def test_rank_zero_class(self):
         f = normal_bundle_inverse_expansion(1, 0)
@@ -155,7 +155,7 @@ class TestNormalBundleExpansion:
             for dim in (1, 3, 7):
                 f = normal_bundle_inverse_expansion(m, dim)
                 assert sorted(f) == [-1, 0]
-                expected = EquivCoeff((0, F(dim, m)), (F(-dim, m),))
+                expected = EquivCoeff(t=F(dim, m), omega=F(-dim, m))
                 assert laurent_residue(f) == expected
 
 
@@ -293,6 +293,6 @@ class TestComponentResidueDegree:
                     normal_bundle_inverse_expansion(c.divisor, c.dim)
                 )
                 ratio = F(c.slice_euler, c.stab_order)
-                via_omega = -(2 * g - 2) * residue.omega_part[0] * ratio
+                via_omega = -(2 * g - 2) * residue.omega * ratio
                 assert via_omega == component_residue_degree(c, g)
                 assert via_omega == F(2 * g - 2, c.divisor)
