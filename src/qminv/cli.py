@@ -184,11 +184,16 @@ def _cmd_series(args) -> int:
 
 
 def _parse_genus_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        genera = list(range(int(lo), int(hi) + 1))
-    else:
-        genera = [int(part) for part in text.split(",") if part]
+    try:
+        if ".." in text:
+            lo, hi = text.split("..")
+            genera = list(range(int(lo), int(hi) + 1))
+        else:
+            genera = [int(part) for part in text.split(",") if part]
+    except ValueError:
+        raise ValueError(
+            f"--g takes LO..HI or a comma-separated list of genera, e.g. 2..5, 2,4 or 3; got {text!r}"
+        ) from None
     if not genera:
         raise ValueError("empty genus range")
     return genera

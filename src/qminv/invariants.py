@@ -14,7 +14,9 @@ default) and otherwise evaluate and flag the result conjectural.
 All reported values are reduced, i.e. the coefficient of the equivariant
 parameter t (the CLI's ``--raw`` prints that coefficient times t).  The
 moduli-side invariant carries the extra factor r^(2g) and doubles as the
-Vafa-Witten invariant of the product surface.
+Vafa-Witten invariant of the product surface.  The series identities read
+one moduli-side value per coefficient: r^(2g) times the closed form's
+``value_t``, with no breakdown.
 """
 
 from __future__ import annotations
@@ -172,16 +174,20 @@ class SeriesIdentity(namedtuple("SeriesIdentity", "lhs rhs equal")):
 def _series_identity(g: int, order: int, d: int) -> SeriesIdentity:
     """Rank-2 moduli-side invariants of base degree d against the eta-log.
 
-    The left side collects the w = d mod 2 coefficients (w >= 1); the right
-    side is (2-2g) * 2^(2g-1) * (U(q) -+ U(-q)), with the difference for
-    odd d and the sum for even d.
+    The left side collects the w = d mod 2 coefficients (w >= 1), each the
+    moduli-side value 2^(2g) times the closed form's ``value_t``: one value
+    per coefficient, where ``qm_moduli`` would also scale a breakdown that
+    the identity never reads.  The right side is
+    (2-2g) * 2^(2g-1) * (U(q) -+ U(-q)), with the difference for odd d and
+    the sum for even d.
     """
     if g < 2:
         raise ValueError(f"genus must be >= 2, got {g}")
+    factor = 2 ** (2 * g)
     lhs_coeffs = [Fraction(0)] * (order + 1)
     for w in range(2 - d, order + 1, 2):
         query = InvariantQuery(r=2, d=d, a=1, w=w, g=g)
-        lhs_coeffs[w] = qm_moduli(query, route=ROUTE_CLOSED).value_t
+        lhs_coeffs[w] = qm_elliptic_closed(query).value_t * factor
     lhs = QSeries(tuple(lhs_coeffs))
     u = series_log_product(order)
     flipped = u.negate_variable()

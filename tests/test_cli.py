@@ -18,6 +18,7 @@ from qminv.exactalg import EquivCoeff
 from qminv.invariants import InvariantResult, ROUTE_CLOSED, qm_moduli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+MALFORMED_GENERA = ["2..5..7", "2..x", "..5", "2..", "2,x"]
 
 
 def run(capsys, *argv):
@@ -550,10 +551,17 @@ class TestSweepCommand:
             # an explicit list must name a degree, as the genus list must
             (["-r", "2", "-a", "1", "--w-list", ",", "--g", "2"], "empty degree list"),
             (["-r", "2", "-a", "1", "--w-list", "", "--g", "2"], "empty degree list"),
+            # one message for every malformed --g, not Python's int() text
+            *(
+                (["-r", "2", "-a", "1", "--w-max", "3", "--g", text],
+                 f"--g takes LO..HI or a comma-separated list of genera, e.g. 2..5, 2,4 or 3; got {text!r}")
+                for text in MALFORMED_GENERA
+            ),
         ],
         ids=[
             "rank", "a", "genus", "genus-after-points", "w-list-negative", "w-list-zero",
             "w-max-negative", "w-list-comma", "w-list-empty",
+            *(f"g-{text}" for text in MALFORMED_GENERA),
         ],
     )
     def test_query_is_validated_before_the_first_point(self, capsys, flags, message):

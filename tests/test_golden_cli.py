@@ -3,8 +3,12 @@
 Each case runs ``qminv.cli.main(argv)`` in-process and is compared with
 ``tests/golden/<name>.json``: stdout, stderr, the exit code and the file
 written by ``--out`` (the ``OUT`` token in argv is replaced by a fresh
-path).  The corpus is the behaviour contract for refactors; re-record it
-only on an intended output change, with
+path).  The corpus is the behaviour contract for refactors.  It covers
+exits 0, 3 and 4 only.  Exits 1 and 2 need a failure that a working
+program cannot replay (a failed selfcheck or a closed stdout, a route
+disagreement or an internal check), so ``tests/test_cli.py`` owns them
+and injects the failure.  Re-record the corpus only on an intended
+output change, with
 
     PYTHONPATH=src python tests/test_golden_cli.py --record
 """
@@ -133,6 +137,8 @@ CASES: dict[str, list[str]] = {
     "sweep_exit4_w_list_zero": ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-list", "1,0", "--g", "2"],
     "sweep_exit4_negative_w_max": ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", "-3", "--g", "2"],
     "sweep_exit4_w_list_empty": ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-list", ",", "--g", "2"],
+    "sweep_exit4_genus_range_malformed": (
+        ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", "3", "--g", "2..5..7"]),
     "selfcheck": ["selfcheck"],
 }
 

@@ -197,6 +197,18 @@ class TestSeriesIdentities:
             assert series_identity_odd(g, 25).equal
             assert series_identity_even(g, 25).equal
 
+    @pytest.mark.parametrize("g", [2, 3, 4, 5])
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_left_side_is_qm_moduli(self, g, d):
+        # the series applies the r^(2g) factor itself; pin it to qm_moduli
+        order = 60
+        lhs = (series_identity_odd if d else series_identity_even)(g, order).lhs
+        for w in range(order + 1):
+            if w >= 1 and w % 2 == d:
+                assert lhs.coefficient(w) == qm_moduli(InvariantQuery(2, d, 1, w, g)).value_t
+            else:
+                assert lhs.coefficient(w) == 0
+
     def test_odd_series_matches_elliptic_target_count(self):
         # after stripping the prefactor, the odd part of the moduli series
         # is twice the positive-degree genus-1 count of the elliptic curve

@@ -32,8 +32,8 @@ with the reason recorded for it in ``REASONS`` below; the run exits 1 if
 a survivor has none.  The score leaves the explained (equivalent)
 survivors out of the denominator, so deleting killed code cannot lower
 it; the raw counts follow on their own line.  To score another checkout, run its own copy of this
-script.  A run takes about 20 minutes on a 2-vCPU machine, so it is not
-part of tier-1.
+script.  A run took 5.9 minutes (306 mutants) on a 2-vCPU machine with
+Python 3.11, so it is not part of tier-1.
 """
 
 from __future__ import annotations
@@ -155,13 +155,30 @@ def _catalogue(node):
         yield lambda node=node: node.operand
 
 
+def _argument_name(parent, child) -> str | None:
+    """The name that child is the value of: a keyword argument's or a default's."""
+    if isinstance(parent, ast.keyword):
+        return parent.arg
+    if isinstance(parent, ast.arguments):
+        positional = parent.posonlyargs + parent.args
+        pairs = [
+            *zip(positional[len(positional) - len(parent.defaults):], parent.defaults),
+            *zip(parent.kwonlyargs, parent.kw_defaults),
+        ]
+        for arg, default in pairs:
+            if default is child:
+                return arg.arg
+    return None
+
+
 class _Sites(ast.NodeTransformer):
     """Number the mutation sites of a module in a fixed order.
 
     With ``target`` set, the site of that number is replaced by its mutant,
     and ``context`` is the node whose source text shows the change: the
     site itself, or for a bare constant the whole expression or simple
-    statement around it.
+    statement around it.  The value of a keyword argument or a default is
+    shown as ``name=value``.
     """
 
     def __init__(self, target: int | None = None):
@@ -196,14 +213,19 @@ class _Sites(ast.NodeTransformer):
             self.sites.append((node.lineno, ".".join(self.scope) or "<module>"))
             if index == self.target:
                 new = self.context = mutate()
+                shown = node
+                top = len(self.stack) - 1
                 if isinstance(node, ast.Constant):
                     # the transformer puts the mutant into its parents in place
-                    top = len(self.stack) - 1
                     while isinstance(self.stack[top - 1], CONTEXTS):
                         top -= 1
                     if self.stack[top] is not node:
-                        node = self.context = self.stack[top]
-                self.before = ast.unparse(node)
+                        shown = self.context = self.stack[top]
+                name = _argument_name(self.stack[top - 1], self.stack[top])
+                if name is not None:
+                    shown = ast.keyword(arg=name, value=shown)
+                    self.context = ast.keyword(arg=name, value=self.context)
+                self.before = ast.unparse(shown)
                 return new
         return node
 
