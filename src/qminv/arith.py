@@ -91,26 +91,13 @@ def solve_base_degrees(r: int, a: int, w: int, u: ChernClass) -> BaseDegrees:
         c1 * deg(u) + ch2 * rk(u) = 0
         c1 * a      - ch2 * r     = w
 
-    The normalisation class u must make the system nonsingular with an
-    integer solution; both equations are re-verified before returning.
-    For u = (1, 0) the solution is (w, 0).
+    Its determinant is -chi((r, a), u), so u must pair to 1: the solution
+    is then (rk(u) * w, -deg(u) * w), and (w, 0) for u = (1, 0).
     """
-    det = u.deg * (-r) - u.rank * a
-    if det == 0:
-        raise ValueError(
-            f"degree system is singular for u=({u.rank},{u.deg}), (r,a)=({r},{a})"
-        )
-    c1_num = -u.rank * w
-    ch2_num = u.deg * w
-    if c1_num % det or ch2_num % det:
-        raise ValueError(
-            f"degree system has no integer solution for w={w}, "
-            f"u=({u.rank},{u.deg}), (r,a)=({r},{a})"
-        )
-    c1, ch2 = c1_num // det, ch2_num // det
-    if c1 * u.deg + ch2 * u.rank != 0 or c1 * a - ch2 * r != w:
-        raise ValueError("degree solution failed re-substitution")
-    return BaseDegrees(c1, ch2)
+    chi = chi_pairing_elliptic(ChernClass(r, a), u)
+    if chi != 1:
+        raise ValueError(f"degree system needs chi(({r},{a}), u) = 1; u=({u.rank},{u.deg}) gives {chi}")
+    return BaseDegrees(u.rank * w, -u.deg * w)
 
 
 def canonical_u_choice(r: int, a: int) -> ChernClass:

@@ -63,6 +63,15 @@ def _breakdown_payload(breakdown) -> list[dict]:
     return [{"m": m, "contribution": str(c)} for m, c in breakdown]
 
 
+def _breakdown_text(breakdown) -> str:
+    return "; ".join(f"m={m}: {c}" for m, c in breakdown)
+
+
+def _agree(one, other) -> bool:
+    """Two routes agree on the value and on the breakdown, divisor by divisor in order."""
+    return (one.value_t, one.breakdown) == (other.value_t, other.breakdown)
+
+
 def _write_out(path: str, records: list[dict]) -> None:
     """Write one JSON line per record; an unwritable path is invalid input."""
     try:
@@ -103,7 +112,7 @@ def _cmd_invariant(args) -> int:
     else:
         results = [_result_for(query, route, args.side, not args.permissive) for route in routes]
     result = results[-1]
-    agree = all(other.value_t == result.value_t for other in results)
+    agree = all(_agree(other, result) for other in results)
     payload = {
         "query": {
             "r": query.r,
@@ -125,8 +134,7 @@ def _cmd_invariant(args) -> int:
         f"conjectural  {'yes' if result.conjectural else 'no'}",
     ]
     if result.breakdown:
-        pieces = "; ".join(f"m={m}: {c}" for m, c in result.breakdown)
-        lines.append(f"breakdown    {pieces}")
+        lines.append(f"breakdown    {_breakdown_text(result.breakdown)}")
     if len(results) > 1:
         payload["routes"] = {
             name: {"value": str(r.value_t), "breakdown": _breakdown_payload(r.breakdown)}
@@ -146,10 +154,15 @@ def _cmd_invariant(args) -> int:
         lines.append(f"raw          {payload['raw']}")
     _emit(args, [(payload, "\n".join(lines))])
     if not agree:
-        print(
-            f"route disagreement: closed={results[0].value_t} oracle={result.value_t}",
-            file=sys.stderr,
-        )
+        closed = results[0]
+        if closed.value_t != result.value_t:
+            detail = f"closed={closed.value_t} oracle={result.value_t}"
+        else:
+            detail = (
+                f"equal values {result.value_t}, breakdowns differ: closed "
+                f"{_breakdown_text(closed.breakdown)}, oracle {_breakdown_text(result.breakdown)}"
+            )
+        print(f"route disagreement: {detail}", file=sys.stderr)
         return EXIT_DISAGREE
     return EXIT_OK
 
@@ -204,7 +217,12 @@ def _sweep_degrees(args) -> list[int]:
         if args.w_max < 0:
             raise ValueError(f"--w-max must be >= 0, got {args.w_max}")
         return list(range(1, args.w_max + 1))
-    ws = [int(part) for part in args.w_list.split(",") if part]
+    try:
+        ws = [int(part) for part in args.w_list.split(",") if part]
+    except ValueError:
+        raise ValueError(
+            f"--w-list takes a comma-separated list of degrees, e.g. 1,3,7 or 5; got {args.w_list!r}"
+        ) from None
     if not ws:
         raise ValueError("empty degree list")
     for w in ws:
@@ -228,7 +246,7 @@ def _sweep(args):
             query = InvariantQuery(r=args.rank, d=args.deg_d, a=args.deg_a, w=w, g=g)
             closed = qm_elliptic_closed(query, strict=strict)
             oracle = qm_elliptic_oracle(query, strict=strict)
-            point_agree = closed.value_t == oracle.value_t
+            point_agree = _agree(closed, oracle)
             total += 1
             agree += point_agree
             conjectural += oracle.conjectural

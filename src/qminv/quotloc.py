@@ -114,10 +114,12 @@ def normal_bundle_inverse_expansion(m: int, dim: int) -> dict[int, EquivCoeff]:
 class WallComponent(namedtuple("WallComponent", "divisor twist quotient_class dim stab_order slice_euler supported")):
     """One divisor's Quot-scheme component of the wall locus.
 
-    twist is the unique integer h with h*r - c1/m in [0, r-1]; the
-    quotient class is h*(r, a) - (c1/m, ch2/m).  dim equals w/m for every
-    component.  supported is False when the quotient rank is outside the
-    analysed classes {0, r-1} and the stabilizer is the dim^2 fallback.
+    The base degrees are (c1, ch2) = (rk(u), -deg(u)) * w for the query's
+    u_choice u, so m divides both.  twist is the unique integer h with
+    h*r - c1/m in [0, r-1]; the quotient class is h*(r, a) - (c1/m, ch2/m).
+    dim equals w/m for every component.  supported is False when the
+    quotient rank is outside the analysed classes {0, r-1} and the
+    stabilizer is the dim^2 fallback.
     """
 
     __slots__ = ()
@@ -131,19 +133,10 @@ def wall_components(query: InvariantQuery) -> list[WallComponent]:
     r, a = query.r, query.a
     components = []
     for m in divisors(query.w):
-        if bd.c1 % m or bd.ch2 % m:
-            raise ValueError(
-                f"base degrees ({bd.c1},{bd.ch2}) are not divisible by m={m}"
-            )
         x1, x2 = bd.c1 // m, bd.ch2 // m
         h = -(-x1 // r)
-        assert 0 <= h * r - x1 <= r - 1  # h is the unique such integer
         u_m = ChernClass(h * r - x1, h * a - x2)
         dim = quot_dimension(r, a, u_m)
-        if dim < 1:
-            raise ValueError(
-                f"component m={m} has dimension {dim}; expected >= 1 for w >= 1"
-            )
         stab = stabilizer_order(r, a, u_m)
         euler = slice_euler_bruteforce(r, u_m) if u_m.rank == 0 else dim
         components.append(

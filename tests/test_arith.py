@@ -109,21 +109,17 @@ class TestSolveBaseDegrees:
     def test_rank_three(self):
         assert solve_base_degrees(3, 1, 5, ChernClass(1, 0)) == BaseDegrees(5, 0)
 
-    def test_singular_system(self):
-        with pytest.raises(ValueError, match="degree system is singular"):
-            solve_base_degrees(2, 1, 3, ChernClass(0, 0))
+    @pytest.mark.parametrize(
+        "u, chi", [((0, 0), 0), ((0, 1), 2), ((1, 1), 3)], ids=["singular", "non-integer", "det-minus-three"]
+    )
+    def test_pairing_other_than_one_raises(self, u, chi):
+        # the determinant is -chi: at w = 3 these are a singular system, one
+        # with no integer solution and an integral one with |det| > 1
+        with pytest.raises(ValueError, match=rf"chi\(\(2,1\), u\) = 1; u=\({u[0]},{u[1]}\) gives {chi}$"):
+            solve_base_degrees(2, 1, 3, ChernClass(*u))
 
-    def test_determinant_beyond_minus_one(self):
-        # integral cases with |det| > 1, where dividing by det differs from
-        # multiplying by it: det = -2 first, then det = -3 with both
-        # numerators nonzero
-        assert solve_base_degrees(2, 1, 4, ChernClass(0, 1)) == BaseDegrees(0, -2)
-        assert solve_base_degrees(2, 1, 3, ChernClass(1, 1)) == BaseDegrees(1, -1)
-
-    def test_non_integer_solution(self):
-        # chi pairing 2 makes the determinant 2; odd w has no integer solution
-        with pytest.raises(ValueError, match="degree system has no integer solution"):
-            solve_base_degrees(2, 1, 3, ChernClass(0, 1))
+    def test_nonzero_ch2(self):
+        assert solve_base_degrees(3, 2, 7, canonical_u_choice(3, 2)) == BaseDegrees(14, 7)
 
     def test_resubstitution_on_random_valid_queries(self):
         rng = random.Random(2024)

@@ -19,6 +19,7 @@ from qminv.invariants import InvariantResult, ROUTE_CLOSED, qm_moduli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 MALFORMED_GENERA = ["2..5..7", "2..x", "..5", "2..", "2,x"]
+MALFORMED_DEGREES = ["1,x", "1.5"]
 
 
 def run(capsys, *argv):
@@ -451,6 +452,26 @@ class TestOracleCanDisagree:
         assert code == 2
         assert err.startswith("route disagreement: ")
 
+    def test_reordered_breakdown_disagrees(self, capsys, monkeypatch):
+        # the same components in reverse order: the value is unchanged, so
+        # only a divisor-by-divisor comparison of the breakdowns notices
+        original = invariants.wall_components
+        monkeypatch.setattr(invariants, "wall_components", lambda query: original(query)[::-1])
+        code, out, err = run(
+            capsys, "invariant", "-r", "2", "-d", "1", "-a", "1", "-w", "3", "-g", "3", "--route", "both"
+        )
+        assert (code, err) == (
+            2,
+            "route disagreement: equal values 16/3, breakdowns differ: "
+            "closed m=1: 4; m=3: 4/3, oracle m=3: 4/3; m=1: 4\n",
+        )
+        assert "route_agreement: FAIL" in out
+        code, out, _ = run(
+            capsys, "sweep", "-r", "2", "-d", "1", "-a", "1", "--w-list", "1,3", "--g", "3"
+        )
+        assert code == 2
+        assert out.splitlines()[1:] == ["g=3 w=3 closed=16/3 oracle=16/3 DISAGREE", "1/2 agree"]
+
 
 class TestSeriesCommand:
     def test_identity_a(self, capsys):
@@ -557,11 +578,18 @@ class TestSweepCommand:
                  f"--g takes LO..HI or a comma-separated list of genera, e.g. 2..5, 2,4 or 3; got {text!r}")
                 for text in MALFORMED_GENERA
             ),
+            # one message for every malformed --w-list too
+            *(
+                (["-r", "2", "-a", "1", "--w-list", text, "--g", "2"],
+                 f"--w-list takes a comma-separated list of degrees, e.g. 1,3,7 or 5; got {text!r}")
+                for text in MALFORMED_DEGREES
+            ),
         ],
         ids=[
             "rank", "a", "genus", "genus-after-points", "w-list-negative", "w-list-zero",
             "w-max-negative", "w-list-comma", "w-list-empty",
             *(f"g-{text}" for text in MALFORMED_GENERA),
+            *(f"w-list-{text}" for text in MALFORMED_DEGREES),
         ],
     )
     def test_query_is_validated_before_the_first_point(self, capsys, flags, message):

@@ -139,6 +139,8 @@ CASES: dict[str, list[str]] = {
     "sweep_exit4_w_list_empty": ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-list", ",", "--g", "2"],
     "sweep_exit4_genus_range_malformed": (
         ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", "3", "--g", "2..5..7"]),
+    "sweep_exit4_w_list_malformed": (
+        ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-list", "1,x", "--g", "2"]),
     "selfcheck": ["selfcheck"],
 }
 
