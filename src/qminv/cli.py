@@ -11,9 +11,12 @@ Subcommands:
 ``--permissive`` reaches both routes: an unproven query is evaluated and
 flagged conjectural.  In strict mode (the default) it exits 3.
 
-One emitter, ``_emit``, prints every record as soon as it is computed and
-writes the ``--out`` file only after the last one, so a ``sweep`` stopped
-in strict mode keeps its earlier points on stdout and writes no file.
+Every output comes from the JSON records.  One emitter,
+``_emit(args, records, text)``, prints each record as soon as it is
+computed, as ``json.dumps(record)`` or as the table ``text(record)``,
+which reads only the record's own strings.  It writes the ``--out`` file
+only after the last record, so a ``sweep`` stopped in strict mode keeps
+its earlier points on stdout and writes no file.
 
 Exit codes are the machine contract: 0 success, 1 failed selfcheck or
 closed stdout, 2 route or identity disagreement or internal cross-check
@@ -27,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from .arith import InvariantQuery
@@ -63,8 +67,8 @@ def _breakdown_payload(breakdown) -> list[dict]:
     return [{"m": m, "contribution": str(c)} for m, c in breakdown]
 
 
-def _breakdown_text(breakdown) -> str:
-    return "; ".join(f"m={m}: {c}" for m, c in breakdown)
+def _breakdown_text(breakdown: list[dict]) -> str:
+    return "; ".join(f"m={entry['m']}: {entry['contribution']}" for entry in breakdown)
 
 
 def _agree(one, other) -> bool:
@@ -72,24 +76,19 @@ def _agree(one, other) -> bool:
     return (one.value_t, one.breakdown) == (other.value_t, other.breakdown)
 
 
-def _write_out(path: str, records: list[dict]) -> None:
-    """Write one JSON line per record; an unwritable path is invalid input."""
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.writelines(json.dumps(record) + "\n" for record in records)
-    except OSError as exc:
-        raise ValueError(f"cannot write --out file: {exc}") from exc
-
-
-def _emit(args, items) -> dict:
-    """Print each (record, table text) pair as it arrives; return the last record."""
-    records = []
-    for record, text in items:
-        print(json.dumps(record) if args.format == "json" else text, flush=True)
+def _emit(args, records, text) -> dict:
+    """Print each record as it arrives, as JSON or as text(record); write --out last; return the last."""
+    kept = []
+    for record in records:
+        print(json.dumps(record) if args.format == "json" else text(record), flush=True)
         if args.out is not None:
-            records.append(record)
+            kept.append(record)
     if args.out is not None:
-        _write_out(args.out, records)
+        try:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.writelines(json.dumps(item) + "\n" for item in kept)
+        except OSError as exc:
+            raise ValueError(f"cannot write --out file: {exc}") from exc
     return record
 
 
@@ -101,9 +100,7 @@ def _result_for(query: InvariantQuery, route: str, side: str, strict: bool):
 
 
 def _cmd_invariant(args) -> int:
-    query = InvariantQuery(
-        r=args.rank, d=args.deg_d, a=args.deg_a, w=args.degree_w, g=args.genus
-    )
+    query = InvariantQuery(r=args.rank, d=args.deg_d, a=args.deg_a, w=args.degree_w, g=args.genus)
     routes = {"closed": (ROUTE_CLOSED,), "oracle": (ROUTE_ORACLE,), "both": (ROUTE_CLOSED, ROUTE_ORACLE)}[args.route]
     # the constant-map count is the elliptic-side closed form; any other
     # side or route at w = 0 goes on to the w >= 1 gate, which refuses it
@@ -114,71 +111,66 @@ def _cmd_invariant(args) -> int:
     result = results[-1]
     agree = all(_agree(other, result) for other in results)
     payload = {
-        "query": {
-            "r": query.r,
-            "d": query.d,
-            "a": query.a,
-            "w": query.w,
-            "g": query.g,
-            "side": args.side,
-        },
+        "query": {"r": query.r, "d": query.d, "a": query.a, "w": query.w, "g": query.g, "side": args.side},
         "value": str(result.value_t),
         "route": "both" if len(results) > 1 else result.route,
         "conjectural": result.conjectural,
         "breakdown": _breakdown_payload(result.breakdown),
     }
-    lines = [
-        f"query        r={query.r} d={query.d} a={query.a} w={query.w} g={query.g} side={args.side}",
-        f"value        {payload['value']}",
-        f"route        {payload['route']}",
-        f"conjectural  {'yes' if result.conjectural else 'no'}",
-    ]
-    if result.breakdown:
-        lines.append(f"breakdown    {_breakdown_text(result.breakdown)}")
     if len(results) > 1:
         payload["routes"] = {
             name: {"value": str(r.value_t), "breakdown": _breakdown_payload(r.breakdown)}
             for name, r in zip(routes, results)
         }
         payload["identity_checks"] = [{"name": "route_agreement", "pass": agree}]
-        lines.extend(f"{name:<12} value {r.value_t}" for name, r in zip(routes, results))
-        lines.append(f"check        route_agreement: {'pass' if agree else 'FAIL'}")
     if args.decimal:
         try:
             payload["approx"] = float(result.value_t)
         except OverflowError:
             raise ValueError("--decimal: value is too large for a float approximation") from None
-        lines.append(f"approx       {payload['approx']} (decimal approximation)")
     if args.raw:
-        payload["raw"] = f"({result.value_t})*t"
-        lines.append(f"raw          {payload['raw']}")
-    _emit(args, [(payload, "\n".join(lines))])
+        payload["raw"] = f"({payload['value']})*t"
+    _emit(args, [payload], _invariant_text)
     if not agree:
-        closed = results[0]
-        if closed.value_t != result.value_t:
-            detail = f"closed={closed.value_t} oracle={result.value_t}"
+        closed, oracle = payload["routes"].values()
+        if closed["value"] != oracle["value"]:
+            detail = f"closed={closed['value']} oracle={oracle['value']}"
         else:
             detail = (
-                f"equal values {result.value_t}, breakdowns differ: closed "
-                f"{_breakdown_text(closed.breakdown)}, oracle {_breakdown_text(result.breakdown)}"
+                f"equal values {oracle['value']}, breakdowns differ: closed "
+                f"{_breakdown_text(closed['breakdown'])}, oracle {_breakdown_text(oracle['breakdown'])}"
             )
         print(f"route disagreement: {detail}", file=sys.stderr)
         return EXIT_DISAGREE
     return EXIT_OK
 
 
-def _cmd_series(args) -> int:
-    check = (
-        series_identity_odd(args.genus, args.order)
-        if args.identity == "A"
-        else series_identity_even(args.genus, args.order)
+def _invariant_text(record: dict) -> str:
+    lines = [
+        "query        " + " ".join(f"{key}={value}" for key, value in record["query"].items()),
+        f"value        {record['value']}",
+        f"route        {record['route']}",
+        f"conjectural  {'yes' if record['conjectural'] else 'no'}",
+    ]
+    if record["breakdown"]:
+        lines.append(f"breakdown    {_breakdown_text(record['breakdown'])}")
+    lines.extend(f"{name:<12} value {route['value']}" for name, route in record.get("routes", {}).items())
+    lines.extend(
+        f"check        {check['name']}: {'pass' if check['pass'] else 'FAIL'}"
+        for check in record.get("identity_checks", ())
     )
+    if "approx" in record:
+        lines.append(f"approx       {record['approx']} (decimal approximation)")
+    if "raw" in record:
+        lines.append(f"raw          {record['raw']}")
+    return "\n".join(lines)
+
+
+def _cmd_series(args) -> int:
+    identity = series_identity_odd if args.identity == "A" else series_identity_even
+    check = identity(args.genus, args.order)
     coefficients = [
-        {
-            "w": w,
-            "lhs": str(check.lhs.coefficient(w)),
-            "rhs": str(check.rhs.coefficient(w)),
-        }
+        {"w": w, "lhs": str(check.lhs.coefficient(w)), "rhs": str(check.rhs.coefficient(w))}
         for w in range(1, args.order + 1)
     ]
     payload = {
@@ -188,28 +180,36 @@ def _cmd_series(args) -> int:
         "equal": check.equal,
         "coefficients": coefficients,
     }
-    lines = [f"identity {args.identity}  genus {args.genus}  order {args.order}", "w lhs rhs"]
-    for row in coefficients:
-        lines.append(f"{row['w']} {row['lhs']} {row['rhs']}")
-    lines.append(f"verdict: {'PASS' if check.equal else 'FAIL'}")
-    _emit(args, [(payload, "\n".join(lines))])
+    _emit(args, [payload], _series_text)
     return EXIT_OK if check.equal else EXIT_DISAGREE
 
 
-def _parse_genus_range(text: str) -> list[int]:
-    try:
-        if ".." in text:
-            lo, hi = text.split("..")
-            genera = list(range(int(lo), int(hi) + 1))
-        else:
-            genera = [int(part) for part in text.split(",") if part]
-    except ValueError:
-        raise ValueError(
-            f"--g takes LO..HI or a comma-separated list of genera, e.g. 2..5, 2,4 or 3; got {text!r}"
-        ) from None
-    if not genera:
-        raise ValueError("empty genus range")
-    return genera
+def _series_text(record: dict) -> str:
+    return "\n".join([
+        f"identity {record['identity']}  genus {record['genus']}  order {record['order']}",
+        "w lhs rhs",
+        *(f"{row['w']} {row['lhs']} {row['rhs']}" for row in record["coefficients"]),
+        f"verdict: {'PASS' if record['equal'] else 'FAIL'}",
+    ])
+
+
+def _parse_integers(text: str, malformed: str, empty: str, ranges: bool = False) -> list[int]:
+    """The integers of a comma-separated list, or of LO..HI when ranges is set.
+
+    Each part must be ``-?[0-9]+``: int() alone would also take ``+``,
+    ``_``, blanks and non-ASCII digits.  Empty list items are skipped.
+    """
+    bounds = re.fullmatch(r"(-?[0-9]+)\.\.(-?[0-9]+)", text) if ranges else None
+    parts = [part for part in text.split(",") if part]
+    if bounds:
+        values = list(range(int(bounds[1]), int(bounds[2]) + 1))
+    elif all(re.fullmatch("-?[0-9]+", part) for part in parts):
+        values = [int(part) for part in parts]
+    else:
+        raise ValueError(malformed)
+    if not values:
+        raise ValueError(empty)
+    return values
 
 
 def _sweep_degrees(args) -> list[int]:
@@ -217,14 +217,11 @@ def _sweep_degrees(args) -> list[int]:
         if args.w_max < 0:
             raise ValueError(f"--w-max must be >= 0, got {args.w_max}")
         return list(range(1, args.w_max + 1))
-    try:
-        ws = [int(part) for part in args.w_list.split(",") if part]
-    except ValueError:
-        raise ValueError(
-            f"--w-list takes a comma-separated list of degrees, e.g. 1,3,7 or 5; got {args.w_list!r}"
-        ) from None
-    if not ws:
-        raise ValueError("empty degree list")
+    ws = _parse_integers(
+        args.w_list,
+        f"--w-list takes a comma-separated list of degrees, e.g. 1,3,7 or 5; got {args.w_list!r}",
+        "empty degree list",
+    )
     for w in ws:
         if w < 1:
             raise ValueError(f"sweep degrees must be >= 1, got {w}")
@@ -232,9 +229,14 @@ def _sweep_degrees(args) -> list[int]:
 
 
 def _sweep(args):
-    """Yield (record, table text) for each grid point as it is computed, then the summary."""
+    """Yield the record of each grid point as it is computed, then the summary."""
     strict = not args.permissive
-    genera = _parse_genus_range(args.g)
+    genera = _parse_integers(
+        args.g,
+        f"--g takes LO..HI or a comma-separated list of genera, e.g. 2..5, 2,4 or 3; got {args.g!r}",
+        "empty genus range",
+        ranges=True,
+    )
     ws = _sweep_degrees(args)
     # validate r, d, a and every genus before the first point too, so that
     # an empty degree range cannot pass an invalid query
@@ -250,24 +252,28 @@ def _sweep(args):
             total += 1
             agree += point_agree
             conjectural += oracle.conjectural
-            record = {
+            yield {
                 "query": {"r": query.r, "d": query.d, "a": query.a, "w": w, "g": g},
                 "closed": str(closed.value_t),
                 "oracle": str(oracle.value_t),
                 "agree": point_agree,
                 "conjectural": oracle.conjectural,
             }
-            yield record, (
-                f"g={g} w={w} closed={record['closed']} oracle={record['oracle']} "
-                f"{'agree' if point_agree else 'DISAGREE'}"
-                f"{' conjectural' if oracle.conjectural else ''}"
-            )
-    summary = {"total": total, "agree": agree, "conjectural": conjectural}
-    yield {"summary": summary}, f"{agree}/{total} agree" + (f", {conjectural} conjectural" if conjectural else "")
+    yield {"summary": {"total": total, "agree": agree, "conjectural": conjectural}}
+
+
+def _sweep_text(record: dict) -> str:
+    if "summary" in record:
+        summary = record["summary"]
+        text = f"{summary['agree']}/{summary['total']} agree"
+        return text + (f", {summary['conjectural']} conjectural" if summary["conjectural"] else "")
+    query = record["query"]
+    verdict = ("agree" if record["agree"] else "DISAGREE") + (" conjectural" if record["conjectural"] else "")
+    return f"g={query['g']} w={query['w']} closed={record['closed']} oracle={record['oracle']} {verdict}"
 
 
 def _cmd_sweep(args) -> int:
-    summary = _emit(args, _sweep(args))["summary"]
+    summary = _emit(args, _sweep(args), _sweep_text)["summary"]
     return EXIT_OK if summary["agree"] == summary["total"] else EXIT_DISAGREE
 
 
@@ -322,12 +328,7 @@ def build_parser() -> _Parser:
     ser = sub.add_parser("series", help="verify a generating-series identity")
     ser.add_argument("--identity", choices=("A", "B"), required=True, help="A: odd-degree difference identity; B: even-degree sum identity")
     ser.add_argument("--genus", type=int, required=True)
-    ser.add_argument(
-        "--order",
-        type=int,
-        default=DEFAULT_SERIES_ORDER,
-        help=f"truncation order (default: {DEFAULT_SERIES_ORDER})",
-    )
+    ser.add_argument("--order", type=int, default=DEFAULT_SERIES_ORDER, help=f"truncation order (default: {DEFAULT_SERIES_ORDER})")
     _add_output_flags(ser)
 
     swp = sub.add_parser("sweep", help="compare oracle and closed form over a grid")
@@ -353,12 +354,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_INVALID
-    handlers = {
-        "invariant": _cmd_invariant,
-        "series": _cmd_series,
-        "sweep": _cmd_sweep,
-        "selfcheck": _cmd_selfcheck,
-    }
+    handlers = {"invariant": _cmd_invariant, "series": _cmd_series, "sweep": _cmd_sweep, "selfcheck": _cmd_selfcheck}
     try:
         return handlers[args.command](args)
     except UnsupportedQueryError as exc:

@@ -18,8 +18,9 @@ from qminv.exactalg import EquivCoeff
 from qminv.invariants import InvariantResult, ROUTE_CLOSED, qm_moduli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-MALFORMED_GENERA = ["2..5..7", "2..x", "..5", "2..", "2,x"]
-MALFORMED_DEGREES = ["1,x", "1.5"]
+# each part is -?[0-9]+ only: not the "_", "+", blank or non-ASCII digit int() takes
+MALFORMED_GENERA = ["2..5..7", "2..x", "..5", "2..", "2,x", "1_0", "+2", " 3", "\u0663", "2..+5"]
+MALFORMED_DEGREES = ["1,x", "1.5", "1_0", "+2", " 3", "\u0663"]
 
 
 def run(capsys, *argv):
@@ -667,6 +668,55 @@ class TestSweepCommand:
         assert first == second
         positions = [first.index(f"g={g} w={w} ") for g in (2, 3) for w in (1, 2, 3, 4)]
         assert positions == sorted(positions)
+
+
+def _record_strings(node):
+    """Every value, contribution, closed, oracle, lhs and rhs string of a record."""
+    if isinstance(node, list):
+        return [text for item in node for text in _record_strings(item)]
+    if not isinstance(node, dict):
+        return []
+    keys = ("value", "contribution", "closed", "oracle", "lhs", "rhs")
+    return [
+        text
+        for key, item in node.items()
+        for text in ([item] if key in keys else _record_strings(item))
+    ]
+
+
+class TestOneDataSource:
+    """Table output is a rendering of the JSON records, and --out holds those records."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *(
+                ["invariant", "-r", "2", "-d", "1", "-a", "1", "-w", "3", "-g", "2",
+                 "--route", route, "--side", side, *extra]
+                for route in ("closed", "oracle", "both")
+                for side in ("elliptic", "moduli")
+                for extra in ([], ["--raw", "--decimal"])
+            ),
+            ["series", "--identity", "A", "--genus", "2", "--order", "6"],
+            ["series", "--identity", "B", "--genus", "3", "--order", "6"],
+            ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", "4", "--g", "2..3"],
+            ["sweep", "-r", "3", "-d", "2", "-a", "1", "--w-list", "1,2,5", "--g", "2", "--permissive"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_table_renders_the_json_records(self, capsys, tmp_path, argv):
+        outputs = {}
+        for fmt in ("table", "json"):
+            target = tmp_path / f"{fmt}.jsonl"
+            code, out, err = run(capsys, *argv, "--format", fmt, "--out", str(target))
+            assert (code, err) == (0, "")
+            outputs[fmt] = out, target.read_text(encoding="utf-8")
+        (table, table_file), (json_out, json_file) = outputs["table"], outputs["json"]
+        assert table_file == json_file == json_out
+        strings = _record_strings([json.loads(line) for line in json_out.splitlines()])
+        assert strings
+        for text in strings:
+            assert text in table
 
 
 class TestSelfcheckCommand:

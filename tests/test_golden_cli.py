@@ -141,6 +141,8 @@ CASES: dict[str, list[str]] = {
         ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", "3", "--g", "2..5..7"]),
     "sweep_exit4_w_list_malformed": (
         ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-list", "1,x", "--g", "2"]),
+    "sweep_exit4_w_list_underscore": (
+        ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-list", "1_0,+2", "--g", "2"]),
     "selfcheck": ["selfcheck"],
 }
 
