@@ -363,6 +363,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except (MemoryError, OverflowError):
+        # a size such as --order 2**62 fails Python's own length check
+        print("invalid input: a value is too large to compute with", file=sys.stderr)
+        return EXIT_INVALID
     except RuntimeError as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return EXIT_DISAGREE

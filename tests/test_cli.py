@@ -453,6 +453,13 @@ class TestOracleCanDisagree:
         assert code == 2
         assert err.startswith("route disagreement: ")
 
+    def test_oracle_decides_emptiness_itself(self, capsys, monkeypatch):
+        # the oracle reads emptiness off its own base degrees, so a broken
+        # degree_congruent moves only the closed form
+        monkeypatch.setattr(invariants, "degree_congruent", lambda query: True)
+        code, _, err = run(capsys, "invariant", "-r", "2", "-d", "0", "-a", "1", "-w", "3", "-g", "2")
+        assert (code, err) == (2, "route disagreement: closed=8/3 oracle=0\n")
+
     def test_reordered_breakdown_disagrees(self, capsys, monkeypatch):
         # the same components in reverse order: the value is unchanged, so
         # only a divisor-by-divisor comparison of the breakdowns notices

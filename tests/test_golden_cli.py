@@ -16,9 +16,11 @@ output change, with
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -100,6 +102,13 @@ CASES: dict[str, list[str]] = {
         ["invariant", "-r", "4", "-d", "1", "-a", "1", "-w", "5", "-g", "2", "--route", "closed"]),
     "invariant_exit3_w0_composite_off_congruence": (
         ["invariant", "-r", "4", "-d", "1", "-a", "1", "-w", "0", "-g", "2"]),
+    # a composite rank is never proven, on either side: exit 3 on both routes
+    # together too; 9 is the least odd composite rank, where is_prime's trial
+    # division, not its parity test, decides
+    "invariant_exit3_composite_both": (
+        ["invariant", "-r", "4", "-d", "1", "-a", "1", "-w", "5", "-g", "2"]),
+    "invariant_exit3_rank9": (
+        ["invariant", "-r", "9", "-d", "1", "-a", "1", "-w", "1", "-g", "2"]),
     "invariant_exit4_negative_w": INV[:8] + ["-3", "-g", "2"],
     "invariant_exit4_bad_a": (
         ["invariant", "-r", "4", "-d", "1", "-a", "2", "-w", "1", "-g", "2"]),
@@ -112,7 +121,12 @@ CASES: dict[str, list[str]] = {
     "series_b_json_out": (
         ["series", "--identity", "B", "--genus", "2", "--order", "8", "--format", "json",
          "--out", "OUT"]),
+    # the default --order, which no other case reaches
+    "series_a_default_order": ["series", "--identity", "A", "--genus", "2"],
     "series_exit4_order_zero": ["series", "--identity", "A", "--genus", "2", "--order", "0"],
+    # 2**62 coefficients fail Python's own length check before any allocation
+    "series_exit4_order_too_large": (
+        ["series", "--identity", "A", "--genus", "2", "--order", str(2 ** 62)]),
     "sweep_w_max_table": (
         ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", "6", "--g", "2..3"]),
     "sweep_w_max_json": (
@@ -133,6 +147,19 @@ CASES: dict[str, list[str]] = {
         ["sweep", "-r", "3", "-d", "2", "-a", "1", "--w-list", "5", "--g", "2"]),
     "sweep_exit3_strict_partial": (
         ["sweep", "-r", "3", "-d", "1", "-a", "1", "--w-list", "1,4", "--g", "2"]),
+    # the (r, a) = (2, 1) grid on both degrees d, w up to 40
+    "sweep_grid_r2_d0_table": (
+        ["sweep", "-r", "2", "-d", "0", "-a", "1", "--w-max", "40", "--g", "2..3"]),
+    "sweep_grid_r2_d1_table": (
+        ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", "40", "--g", "2..3"]),
+    # r = 3 on proven degrees only: every divisor of w is 0 or 1 mod 3
+    "sweep_grid_r3_d0_proven_table": (
+        ["sweep", "-r", "3", "-d", "0", "-a", "1", "--w-list", "1,3,7,9,21,27,39,63,81", "--g", "2..3"]),
+    "sweep_grid_r3_d1_proven_table": (
+        ["sweep", "-r", "3", "-d", "1", "-a", "1", "--w-list", "1,3,7,13,49,91", "--g", "2..3"]),
+    # a = 2 is the only grid where ch2 != 0; none of its degrees is proven
+    "sweep_grid_r3_a2_permissive_table": (
+        ["sweep", "-r", "3", "-d", "1", "-a", "2", "--w-max", "40", "--g", "2..3", "--permissive"]),
     "sweep_exit4_usage": ["sweep", "-r", "2", "-d", "1", "-a", "1", "--g", "2"],
     "sweep_exit4_w_list_zero": ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-list", "1,0", "--g", "2"],
     "sweep_exit4_negative_w_max": ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", "-3", "--g", "2"],
@@ -143,6 +170,9 @@ CASES: dict[str, list[str]] = {
         ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-list", "1,x", "--g", "2"]),
     "sweep_exit4_w_list_underscore": (
         ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-list", "1_0,+2", "--g", "2"]),
+    # 10**19 does not fit a C index, so range() refuses it before any allocation
+    "sweep_exit4_w_max_too_large": (
+        ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", str(10 ** 19), "--g", "2"]),
     "selfcheck": ["selfcheck"],
 }
 
@@ -178,6 +208,20 @@ def test_corpus_files_match_cases():
 def test_golden_case(name, tmp_path):
     expected = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
     assert run_case(CASES[name], tmp_path / "out.json") == expected
+
+
+def test_mutation_stage1_passes_on_clean_tree():
+    # tools/mutate.py's first detector replays this corpus; run it as the
+    # tool does, so that the two cannot drift apart
+    root = Path(__file__).resolve().parent.parent
+    spec = importlib.util.spec_from_file_location("mutate", root / "tools" / "mutate.py")
+    mutate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutate)
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", mutate.STAGE1], cwd=root, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
 
 
 def record() -> None:
