@@ -14,6 +14,10 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
+# the largest rank and quasimap degree a query takes: divisors(w) and
+# is_prime(r) trial-divide up to the square root, at most 10**6 steps
+_MAX_SIZE = 10**12
+
 
 def divisors(w: int) -> list[int]:
     """All positive divisors of w in increasing order.
@@ -116,10 +120,10 @@ def canonical_u_choice(r: int, a: int) -> ChernClass:
 class InvariantQuery(namedtuple("InvariantQuery", "r d a w g u_choice")):
     """A validated invariant request; ``_replace`` and ``_make`` validate too.
 
-    r      rank (>= 2)
+    r      rank, in [2, 10**12]
     d      degree on the base curve; only its residue mod r enters
     a      degree on the elliptic curve, in [0, r), coprime to r
-    w      quasimap degree (>= 0)
+    w      quasimap degree, in [0, 10**12]
     g      genus of the base curve (>= 2)
     u_choice  universal-family normalisation; must pair to 1 against
               (r, a).  Defaults to ``canonical_u_choice(r, a)``, which is
@@ -131,16 +135,19 @@ class InvariantQuery(namedtuple("InvariantQuery", "r d a w g u_choice")):
     def __new__(cls, r: int, d: int, a: int, w: int, g: int, u_choice: ChernClass | None = None):
         if r < 2:
             raise ValueError(f"rank must be >= 2, got {r}")
+        if r > _MAX_SIZE:
+            raise ValueError(f"rank must be <= {_MAX_SIZE}, got {r}")
         if g < 2:
             raise ValueError(f"genus must be >= 2, got {g}")
         if w < 0:
             raise ValueError(f"quasimap degree must be >= 0, got {w}")
+        if w > _MAX_SIZE:
+            raise ValueError(f"quasimap degree must be <= {_MAX_SIZE}, got {w}")
         if not 0 <= a < r:
             raise ValueError(f"a must lie in [0, {r}), got {a}")
         if u_choice is None:
             u_choice = canonical_u_choice(r, a)
-        if math.gcd(r, a) != 1:
-            raise ValueError(f"gcd(r, a) must be 1, got ({r}, {a})")
+        # chi = r*deg(u) + a*rk(u) = 1 forces gcd(r, a) = 1
         if chi_pairing_elliptic(ChernClass(r, a), u_choice) != 1:
             raise ValueError(
                 f"u_choice=({u_choice.rank},{u_choice.deg}) does not "

@@ -238,10 +238,10 @@ def _sweep(args):
         ranges=True,
     )
     ws = _sweep_degrees(args)
-    # validate r, d, a and every genus before the first point too, so that
-    # an empty degree range cannot pass an invalid query
+    # validate r, d, a, every genus and the largest degree before the first
+    # point, so that an empty degree range cannot pass an invalid query either
     for g in genera:
-        InvariantQuery(r=args.rank, d=args.deg_d, a=args.deg_a, w=0, g=g)
+        InvariantQuery(r=args.rank, d=args.deg_d, a=args.deg_a, w=max(ws, default=0), g=g)
     total = agree = conjectural = 0
     for g in genera:
         for w in ws:

@@ -64,8 +64,7 @@ def unproven_reason(query: InvariantQuery) -> str | None:
     r, w = query.r, query.w
     if not is_prime(r):
         return f"no proven closed form for r={r}, w={w}: the rank {r} is not prime"
-    a_mod = query.a % r
-    if all(m % r in (0, a_mod) for m in divisors(w)):
+    if all(m % r in (0, query.a) for m in divisors(w)):
         return None
     return (
         f"no proven closed form for r={r}, w={w}: some divisor of w "

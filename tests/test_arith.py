@@ -40,6 +40,10 @@ class TestDivisors:
             assert ds == sorted(ds)
             assert ds == [m for m in range(1, w + 1) if w % m == 0]
 
+    def test_at_the_size_bound(self):
+        # 10**12 = 2**12 * 5**12 is the largest degree a query takes
+        assert divisors(10**12) == sorted(2**i * 5**j for i in range(13) for j in range(13))
+
 
 class TestSigmaMinusOne:
     @pytest.mark.parametrize("w, expected", [(1, F(1)), (6, F(2)), (4, F(7, 4))])
@@ -161,6 +165,16 @@ class TestIsPrime:
         for n in range(limit):
             assert is_prime(n) == sieve[n], n
 
+    @pytest.mark.parametrize(
+        "n, expected",
+        [(999999999989, True), (999983**2, False), (999979 * 999983, False)],
+        ids=["largest-prime-rank", "square-of-a-prime", "product-of-close-primes"],
+    )
+    def test_near_the_size_bound(self, n, expected):
+        # trial division runs to the square root: the largest prime rank a
+        # query takes, and composites whose least factor is just below 10**6
+        assert is_prime(n) is expected
+
 
 class TestInvariantQuery:
     def test_default_u_choice_for_a_one(self):
@@ -177,11 +191,37 @@ class TestInvariantQuery:
             InvariantQuery(r=2, d=1, a=1, w=3, g=2, u_choice=ChernClass(0, 1))
 
     def test_rejects_non_coprime(self):
-        with pytest.raises(ValueError, match="gcd"):
+        # chi = r*deg(u) + a*rk(u) = 1 forces gcd(r, a) = 1, so the pairing
+        # check rejects every non-coprime (r, a) that comes with a u_choice
+        with pytest.raises(ValueError, match="pair to 1"):
             InvariantQuery(r=4, d=1, a=2, w=1, g=2, u_choice=ChernClass(1, 0))
-        # a = 0 lies in [0, r), so it is the gcd check that rejects it
-        with pytest.raises(ValueError, match="gcd"):
+        # a = 0 lies in [0, r), so it is the pairing check that rejects it
+        with pytest.raises(ValueError, match="pair to 1"):
             InvariantQuery(r=2, d=1, a=0, w=3, g=2, u_choice=ChernClass(1, 0))
+
+    def test_every_non_coprime_u_choice_fails_the_pairing(self):
+        # chi((r, a), u) is a multiple of gcd(r, a), so no u pairs to 1
+        for r in range(2, 10):
+            for a in (a for a in range(r) if math.gcd(r, a) != 1):
+                for rank in range(-r, r + 1):
+                    for deg in range(-r, r + 1):
+                        with pytest.raises(ValueError, match="pair to 1"):
+                            InvariantQuery(r=r, d=1, a=a, w=1, g=2, u_choice=ChernClass(rank, deg))
+
+    def test_non_coprime_without_u_choice_fails_in_the_default(self):
+        # with no u_choice, canonical_u_choice refuses the pair first
+        for r, a in ((4, 2), (2, 0), (6, 3)):
+            with pytest.raises(ValueError, match=rf"^no unit normalisation: gcd\({r},{a}\) != 1$"):
+                InvariantQuery(r=r, d=1, a=a, w=1, g=2)
+
+    def test_rank_and_degree_bound(self):
+        # divisors(w) and is_prime(r) trial-divide up to the square root
+        assert InvariantQuery(r=10**12, d=0, a=1, w=0, g=2).r == 10**12
+        assert InvariantQuery(r=2, d=1, a=1, w=10**12, g=2).w == 10**12
+        with pytest.raises(ValueError, match=r"^rank must be <= 1000000000000, got 1000000000001$"):
+            InvariantQuery(r=10**12 + 1, d=0, a=1, w=0, g=2)
+        with pytest.raises(ValueError, match=r"^quasimap degree must be <= 1000000000000, got 1000000000001$"):
+            InvariantQuery(r=2, d=1, a=1, w=10**12 + 1, g=2)
 
     def test_rejects_low_genus(self):
         with pytest.raises(ValueError, match="genus"):
@@ -230,6 +270,13 @@ class TestRecordTypes:
         assert moved == InvariantQuery(r=2, d=1, a=1, w=5, g=2)
         # _make fills in the canonical u_choice as the constructor does
         assert InvariantQuery._make((2, 1, 1, 3, 2, None)) == query
+
+    def test_replace_and_make_check_the_size_bound(self):
+        query = InvariantQuery(r=2, d=1, a=1, w=3, g=2)
+        with pytest.raises(ValueError, match="quasimap degree must be <= 1000000000000"):
+            query._replace(w=10**12 + 1)
+        with pytest.raises(ValueError, match="rank must be <= 1000000000000"):
+            InvariantQuery._make((10**12 + 1, 0, 1, 0, 2, None))
 
     def test_repr(self):
         assert repr(InvariantQuery(r=2, d=1, a=1, w=3, g=2)) == (

@@ -1,4 +1,12 @@
-"""Command-line interface: output schema, formats, and exit codes."""
+"""Command-line interface: what the golden corpus cannot replay.
+
+``tests/test_golden_cli.py`` pins every output of the corpus commands
+byte for byte.  This module holds the rest: injected faults (a patched
+route, component, check or environment), subprocesses (the int-to-str
+limit, a closed stdout, the cold-start imports), the file system
+(``--out`` files and unwritable paths), and argvs that no golden case
+runs.
+"""
 
 import json
 import os
@@ -30,34 +38,6 @@ def run(capsys, *argv):
 
 
 class TestInvariantCommand:
-    def test_both_routes_agree(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "invariant", "-r", "2", "-d", "1", "-a", "1", "-w", "3", "-g", "2",
-            "--route", "both", "--format", "json",
-        )
-        assert code == 0
-        record = json.loads(out)
-        assert record["value"] == "8/3"
-        assert record["query"] == {"r": 2, "d": 1, "a": 1, "w": 3, "g": 2, "side": "elliptic"}
-        assert record["breakdown"] == [
-            {"m": 1, "contribution": "2"},
-            {"m": 3, "contribution": "2/3"},
-        ]
-        assert record["identity_checks"] == [{"name": "route_agreement", "pass": True}]
-        assert record["routes"]["closed_form"]["value"] == "8/3"
-        assert record["routes"]["wall_crossing_oracle"]["value"] == "8/3"
-        assert record["conjectural"] is False
-
-    def test_parity_zero(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "invariant", "-r", "2", "-d", "0", "-a", "1", "-w", "3", "-g", "2",
-            "--format", "json",
-        )
-        assert code == 0
-        assert json.loads(out)["value"] == "0"
-
     def test_degree_zero_constant_map(self, capsys):
         for route in ("closed", "both"):
             code, out, _ = run(
@@ -69,36 +49,6 @@ class TestInvariantCommand:
             record = json.loads(out)
             assert record["value"] == "4"
             assert record["route"] == "closed_form"
-
-    def test_moduli_side(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "invariant", "-r", "2", "-d", "1", "-a", "1", "-w", "1", "-g", "2",
-            "--side", "moduli", "--format", "json",
-        )
-        assert code == 0
-        assert json.loads(out)["value"] == "32"
-
-    def test_value_round_trips_exactly(self, capsys):
-        _, out, _ = run(
-            capsys,
-            "invariant", "-r", "2", "-d", "0", "-a", "1", "-w", "12", "-g", "4",
-            "--route", "closed", "--format", "json",
-        )
-        record = json.loads(out)
-        assert record["value"] == "14"
-        total = sum(Fraction(e["contribution"]) for e in record["breakdown"])
-        assert Fraction(record["value"]) == total
-
-    def test_table_and_json_carry_identical_data(self, capsys):
-        args = ["invariant", "-r", "2", "-d", "1", "-a", "1", "-w", "3", "-g", "2"]
-        _, table_out, _ = run(capsys, *args)
-        _, json_out, _ = run(capsys, *args, "--format", "json")
-        record = json.loads(json_out)
-        assert record["value"] in table_out
-        for entry in record["breakdown"]:
-            assert f"m={entry['m']}: {entry['contribution']}" in table_out
-        assert "conjectural  no" in table_out
 
     def test_decimal_flag_marks_approximation(self, capsys):
         _, out, _ = run(
@@ -180,52 +130,8 @@ class TestInvariantCommand:
             assert err.count("\n") == 1
             assert not os.path.exists(target)
 
-    def test_higher_rank_uses_canonical_normalisation(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "invariant", "-r", "5", "-d", "2", "-a", "2", "-w", "4", "-g", "2",
-            "--route", "oracle", "--permissive", "--format", "json",
-        )
-        assert code == 0
-        record = json.loads(out)
-        assert record["conjectural"] is True
-        assert Fraction(record["value"]) == 2 * sum(
-            Fraction(1, m) for m in (1, 2, 4)
-        )
-
 
 class TestExitCodes:
-    def test_invalid_input(self, capsys):
-        code, _, err = run(
-            capsys,
-            "invariant", "-r", "2", "-d", "1", "-a", "1", "-w", "-3", "-g", "2",
-        )
-        assert code == 4
-        assert "invalid input" in err
-
-    def test_usage_error(self, capsys):
-        code, _, err = run(capsys, "invariant", "-r", "2")
-        assert code == 4
-        assert "error" in err
-
-    def test_unsupported_strict(self, capsys):
-        code, _, err = run(
-            capsys,
-            "invariant", "-r", "3", "-d", "2", "-a", "1", "-w", "5", "-g", "2",
-            "--route", "oracle",
-        )
-        assert code == 3
-        assert "unsupported" in err
-
-    def test_permissive_lifts_unsupported(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "invariant", "-r", "3", "-d", "2", "-a", "1", "-w", "5", "-g", "2",
-            "--route", "oracle", "--permissive", "--format", "json",
-        )
-        assert code == 0
-        assert json.loads(out)["conjectural"] is True
-
     @pytest.mark.parametrize(
         "route, side",
         [("closed", "elliptic"), ("both", "elliptic"), ("closed", "moduli"), ("both", "moduli")],
@@ -247,19 +153,6 @@ class TestExitCodes:
         assert record["conjectural"] is True
         factor = 3 ** 4 if side == "moduli" else 1
         assert Fraction(record["value"]) == Fraction(12, 5) * factor
-
-    def test_route_disagreement(self, capsys, monkeypatch):
-        def fake_closed(query, strict=True):
-            return InvariantResult(Fraction(999), (), ROUTE_CLOSED, False)
-
-        monkeypatch.setattr(cli, "qm_elliptic_closed", fake_closed)
-        code, _, err = run(
-            capsys,
-            "invariant", "-r", "2", "-d", "1", "-a", "1", "-w", "3", "-g", "2",
-            "--route", "both",
-        )
-        assert code == 2
-        assert "disagreement" in err
 
     def test_route_disagreement_output(self, capsys, monkeypatch):
         def fake_closed(query, strict=True):
@@ -295,20 +188,6 @@ class TestExitCodes:
             },
             "identity_checks": [{"name": "route_agreement", "pass": False}],
         }) + "\n"
-
-    def test_unsupported_composite_rank(self, capsys):
-        # 1 = 5 = 1 mod 4, so the reason is the rank, not the divisors
-        for route in ("closed", "oracle", "both"):
-            code, out, err = run(
-                capsys,
-                "invariant", "-r", "4", "-d", "1", "-a", "1", "-w", "5", "-g", "2",
-                "--route", route,
-            )
-            assert (code, out) == (3, "")
-            assert err == (
-                "unsupported query: no proven closed form for r=4, w=5: "
-                "the rank 4 is not prime\n"
-            )
 
     def test_permissive_moduli_side_composite_rank_is_conjectural(self, capsys):
         # one gate on both sides: strict mode refuses the composite rank with
@@ -482,18 +361,6 @@ class TestOracleCanDisagree:
 
 
 class TestSeriesCommand:
-    def test_identity_a(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "series", "--identity", "A", "--genus", "2", "--order", "10",
-            "--format", "json",
-        )
-        assert code == 0
-        record = json.loads(out)
-        assert record["equal"] is True
-        assert len(record["coefficients"]) == 10
-        assert record["coefficients"][0] == {"w": 1, "lhs": "32", "rhs": "32"}
-
     def test_identity_b_trivial_order(self, capsys):
         code, out, _ = run(
             capsys, "series", "--identity", "B", "--genus", "2", "--order", "1"
@@ -539,32 +406,6 @@ class TestSeriesCommand:
 
 
 class TestSweepCommand:
-    def test_small_grid(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", "6", "--g", "2..3",
-        )
-        assert code == 0
-        assert out.strip().endswith("12/12 agree")
-
-    def test_w_list_json(self, capsys):
-        code, out, _ = run(
-            capsys,
-            "sweep", "-r", "3", "-d", "1", "-a", "1", "--w-list", "1,3,9",
-            "--g", "2", "--format", "json",
-        )
-        assert code == 0
-        lines = [json.loads(line) for line in out.strip().splitlines()]
-        assert lines[-1] == {"summary": {"total": 3, "agree": 3, "conjectural": 0}}
-        assert all(record["agree"] for record in lines[:-1])
-
-    def test_empty_grid(self, capsys):
-        code, out, _ = run(
-            capsys, "sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", "0", "--g", "2"
-        )
-        assert code == 0
-        assert "0/0 agree" in out
-
     @pytest.mark.parametrize(
         "flags, message",
         [
@@ -577,6 +418,12 @@ class TestSweepCommand:
             (["-r", "2", "-a", "1", "--w-list", "1,-1", "--g", "2"], "sweep degrees must be >= 1, got -1"),
             (["-r", "2", "-a", "1", "--w-list", "1,0", "--g", "2"], "sweep degrees must be >= 1, got 0"),
             (["-r", "2", "-a", "1", "--w-max", "-3", "--g", "2"], "--w-max must be >= 0, got -3"),
+            # the largest degree is checked too: no w = 1 point is printed first
+            (["-r", "2", "-a", "1", "--w-list", f"1,{10 ** 18}", "--g", "2"],
+             f"quasimap degree must be <= 1000000000000, got {10 ** 18}"),
+            # an empty grid cannot pass a rank above the bound either
+            (["-r", str(10 ** 12 + 1), "-a", "1", "--w-max", "0", "--g", "2"],
+             "rank must be <= 1000000000000, got 1000000000001"),
             # an explicit list must name a degree, as the genus list must
             (["-r", "2", "-a", "1", "--w-list", ",", "--g", "2"], "empty degree list"),
             (["-r", "2", "-a", "1", "--w-list", "", "--g", "2"], "empty degree list"),
@@ -595,7 +442,7 @@ class TestSweepCommand:
         ],
         ids=[
             "rank", "a", "genus", "genus-after-points", "w-list-negative", "w-list-zero",
-            "w-max-negative", "w-list-comma", "w-list-empty",
+            "w-max-negative", "w-list-too-large", "rank-too-large", "w-list-comma", "w-list-empty",
             *(f"g-{text}" for text in MALFORMED_GENERA),
             *(f"w-list-{text}" for text in MALFORMED_DEGREES),
         ],
@@ -727,12 +574,6 @@ class TestOneDataSource:
 
 
 class TestSelfcheckCommand:
-    def test_runs_green(self, capsys):
-        code, out, _ = run(capsys, "selfcheck")
-        assert code == 0
-        assert "11/11 checks passed" in out
-        assert "FAIL" not in out
-
     def test_crashing_check_is_reported(self, capsys, monkeypatch):
         def _check_divides_by_zero():
             return ("never reported", 1 // 0 == 0, "")

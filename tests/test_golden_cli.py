@@ -3,12 +3,14 @@
 Each case runs ``qminv.cli.main(argv)`` in-process and is compared with
 ``tests/golden/<name>.json``: stdout, stderr, the exit code and the file
 written by ``--out`` (the ``OUT`` token in argv is replaced by a fresh
-path).  The corpus is the behaviour contract for refactors.  It covers
+path).  The corpus is the CLI's one output contract: a command it runs
+gets no second, hand-written check in ``tests/test_cli.py``.  It covers
 exits 0, 3 and 4 only.  Exits 1 and 2 need a failure that a working
 program cannot replay (a failed selfcheck or a closed stdout, a route
 disagreement or an internal check), so ``tests/test_cli.py`` owns them
-and injects the failure.  Re-record the corpus only on an intended
-output change, with
+and injects the failure, as it owns the subprocess and file-system
+checks and the argvs that no case here runs.  Re-record the corpus only
+on an intended output change, with
 
     PYTHONPATH=src python tests/test_golden_cli.py --record
 """
@@ -113,6 +115,21 @@ CASES: dict[str, list[str]] = {
     "invariant_exit4_bad_a": (
         ["invariant", "-r", "4", "-d", "1", "-a", "2", "-w", "1", "-g", "2"]),
     "invariant_exit4_usage": ["invariant", "-r", "2"],
+    # a rank or degree above 10**12 is refused before is_prime or divisors
+    # trial-divides up to its square root
+    "invariant_exit4_w_too_large": (
+        ["invariant", "-r", "2", "-d", "1", "-a", "1", "-w", str(2 ** 62 - 1), "-g", "2", "--route", "closed"]),
+    "invariant_exit4_r_too_large": (
+        ["invariant", "-r", str(10 ** 18 + 3), "-d", "0", "-a", "1", "-w", "0", "-g", "2"]),
+    # the bound itself is taken: 10**12 as the degree and as the rank, and
+    # 999999999989, the largest prime rank, which is_prime trial-divides in full
+    "invariant_closed_w_at_bound_json": (
+        ["invariant", "-r", "2", "-d", "0", "-a", "1", "-w", str(10 ** 12), "-g", "2", "--route", "closed",
+         "--format", "json"]),
+    "invariant_exit3_r_at_bound": (
+        ["invariant", "-r", str(10 ** 12), "-d", "0", "-a", "1", "-w", "0", "-g", "2"]),
+    "invariant_w0_largest_prime_rank_json": (
+        ["invariant", "-r", "999999999989", "-d", "0", "-a", "1", "-w", "0", "-g", "2", "--format", "json"]),
     "exit4_no_command": [],
     "series_a_table": ["series", "--identity", "A", "--genus", "2", "--order", "10"],
     "series_a_json": (

@@ -196,6 +196,22 @@ class TestUnprovenReason:
         for w in range(1, 200):
             assert unproven_reason(InvariantQuery(r=2, d=w % 2, a=1, w=w, g=2)) is None
 
+    def test_a_other_than_one_is_never_proven(self):
+        # 1 divides every w, and 1 mod r lies outside {0, a} when a != 1
+        for r, a in ((3, 2), (5, 2), (5, 3), (7, 4)):
+            for w in range(1, 30):
+                assert unproven_reason(InvariantQuery(r=r, d=1, a=a, w=w, g=2)) == (
+                    f"no proven closed form for r={r}, w={w}: some divisor of w lies outside {{0, {a}}} mod {r}"
+                )
+
+    def test_largest_prime_rank_and_degree(self):
+        # is_prime and divisors each make their longest trial division
+        query = InvariantQuery(r=999999999989, d=0, a=1, w=10**12, g=2)
+        assert unproven_reason(query) == (
+            "no proven closed form for r=999999999989, w=1000000000000: "
+            "some divisor of w lies outside {0, 1} mod 999999999989"
+        )
+
     def test_permissive_composite_rank_is_conjectural(self):
         result = qm_elliptic_oracle(COMPOSITE, strict=False)
         assert result.value_t == Fraction(12, 5)

@@ -24,3 +24,10 @@ def test_one_exception_class_per_exit_code():
     exported = [getattr(qminv, name) for name in qminv.__all__]
     exceptions = [obj for obj in exported if isinstance(obj, type) and issubclass(obj, BaseException)]
     assert exceptions == [qminv.UnsupportedQueryError]
+
+
+def test_private_names_stay_private():
+    # dunders such as __version__ aside; e.g. arith's bound on rank and
+    # degree is not public API
+    assert [name for name in qminv.__all__ if name[:1] == "_" and name[:2] != "__"] == []
+    assert not hasattr(qminv, "_MAX_SIZE")
