@@ -212,11 +212,12 @@ def _parse_integers(text: str, malformed: str, empty: str, ranges: bool = False)
     return values
 
 
-def _sweep_degrees(args) -> list[int]:
+def _sweep_degrees(args) -> tuple[range | list[int], int]:
+    """The degrees in sweep order, and the largest (0 if none); a --w-max range is never listed."""
     if args.w_list is None:
         if args.w_max < 0:
             raise ValueError(f"--w-max must be >= 0, got {args.w_max}")
-        return list(range(1, args.w_max + 1))
+        return range(1, args.w_max + 1), args.w_max
     ws = _parse_integers(
         args.w_list,
         f"--w-list takes a comma-separated list of degrees, e.g. 1,3,7 or 5; got {args.w_list!r}",
@@ -225,7 +226,7 @@ def _sweep_degrees(args) -> list[int]:
     for w in ws:
         if w < 1:
             raise ValueError(f"sweep degrees must be >= 1, got {w}")
-    return ws
+    return ws, max(ws)
 
 
 def _sweep(args):
@@ -237,11 +238,11 @@ def _sweep(args):
         "empty genus range",
         ranges=True,
     )
-    ws = _sweep_degrees(args)
+    ws, w_largest = _sweep_degrees(args)
     # validate r, d, a, every genus and the largest degree before the first
     # point, so that an empty degree range cannot pass an invalid query either
     for g in genera:
-        InvariantQuery(r=args.rank, d=args.deg_d, a=args.deg_a, w=max(ws, default=0), g=g)
+        InvariantQuery(r=args.rank, d=args.deg_d, a=args.deg_a, w=w_largest, g=g)
     total = agree = conjectural = 0
     for g in genera:
         for w in ws:

@@ -473,10 +473,12 @@ class TestSweepCommand:
             assert err.count("\n") == 1
             assert not os.path.exists(target)
 
-    def test_closed_stdout_exits_1_without_traceback(self):
+    # the degrees stream: the largest --w-max the bound takes prints its first point at once
+    @pytest.mark.parametrize("w_max", ["3000", str(10**12)])
+    def test_closed_stdout_exits_1_without_traceback(self, w_max):
         with subprocess.Popen(
             [sys.executable, "-m", "qminv.cli", "sweep", "-r", "2", "-d", "1", "-a", "1",
-             "--w-max", "3000", "--g", "2..5"],
+             "--w-max", w_max, "--g", "2..5"],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env={**os.environ, "PYTHONPATH": str(SRC)},

@@ -121,11 +121,9 @@ CASES: dict[str, list[str]] = {
         ["invariant", "-r", "2", "-d", "1", "-a", "1", "-w", str(2 ** 62 - 1), "-g", "2", "--route", "closed"]),
     "invariant_exit4_r_too_large": (
         ["invariant", "-r", str(10 ** 18 + 3), "-d", "0", "-a", "1", "-w", "0", "-g", "2"]),
-    # the bound itself is taken: 10**12 as the degree and as the rank, and
-    # 999999999989, the largest prime rank, which is_prime trial-divides in full
-    "invariant_closed_w_at_bound_json": (
-        ["invariant", "-r", "2", "-d", "0", "-a", "1", "-w", str(10 ** 12), "-g", "2", "--route", "closed",
-         "--format", "json"]),
+    # the bound itself is taken: 10**12 as the rank (as the degree in the last
+    # case), and 999999999989, the largest prime rank, which is_prime
+    # trial-divides in full
     "invariant_exit3_r_at_bound": (
         ["invariant", "-r", str(10 ** 12), "-d", "0", "-a", "1", "-w", "0", "-g", "2"]),
     "invariant_w0_largest_prime_rank_json": (
@@ -187,10 +185,17 @@ CASES: dict[str, list[str]] = {
         ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-list", "1,x", "--g", "2"]),
     "sweep_exit4_w_list_underscore": (
         ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-list", "1_0,+2", "--g", "2"]),
-    # 10**19 does not fit a C index, so range() refuses it before any allocation
+    # --w-max is checked against the quasimap-degree bound before the first point
+    "sweep_exit4_w_max_above_bound": (
+        ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", str(10 ** 12 + 1), "--g", "2"]),
     "sweep_exit4_w_max_too_large": (
         ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", str(10 ** 19), "--g", "2"]),
     "selfcheck": ["selfcheck"],
+    # the slowest case (the divisors of 10**12) comes last, so that a mutant
+    # that fails an earlier case is judged without it
+    "invariant_closed_w_at_bound_json": (
+        ["invariant", "-r", "2", "-d", "0", "-a", "1", "-w", str(10 ** 12), "-g", "2", "--route", "closed",
+         "--format", "json"]),
 }
 
 
