@@ -193,8 +193,8 @@ def _series_text(record: dict) -> str:
     ])
 
 
-def _parse_integers(text: str, malformed: str, empty: str, ranges: bool = False) -> list[int]:
-    """The integers of a comma-separated list, or of LO..HI when ranges is set.
+def _parse_integers(text: str, malformed: str, empty: str, ranges: bool = False) -> range | list[int]:
+    """The integers of a comma-separated list, or the range LO..HI when ranges is set.
 
     Each part must be ``-?[0-9]+``: int() alone would also take ``+``,
     ``_``, blanks and non-ASCII digits.  Empty list items are skipped.
@@ -202,7 +202,7 @@ def _parse_integers(text: str, malformed: str, empty: str, ranges: bool = False)
     bounds = re.fullmatch(r"(-?[0-9]+)\.\.(-?[0-9]+)", text) if ranges else None
     parts = [part for part in text.split(",") if part]
     if bounds:
-        values = list(range(int(bounds[1]), int(bounds[2]) + 1))
+        values = range(int(bounds[1]), int(bounds[2]) + 1)
     elif all(re.fullmatch("-?[0-9]+", part) for part in parts):
         values = [int(part) for part in parts]
     else:
@@ -230,7 +230,11 @@ def _sweep_degrees(args) -> tuple[range | list[int], int]:
 
 
 def _sweep(args):
-    """Yield the record of each grid point as it is computed, then the summary."""
+    """Yield the record of each grid point as it is computed, then the summary.
+
+    The query at the corner (largest w, smallest g) checks the whole grid, even
+    an empty one: r, d, a ignore the point, w has only an upper bound, g only g >= 2.
+    """
     strict = not args.permissive
     genera = _parse_integers(
         args.g,
@@ -239,10 +243,8 @@ def _sweep(args):
         ranges=True,
     )
     ws, w_largest = _sweep_degrees(args)
-    # validate r, d, a, every genus and the largest degree before the first
-    # point, so that an empty degree range cannot pass an invalid query either
-    for g in genera:
-        InvariantQuery(r=args.rank, d=args.deg_d, a=args.deg_a, w=w_largest, g=g)
+    g_least = genera[0] if isinstance(genera, range) else min(genera)  # min() would walk a range
+    InvariantQuery(r=args.rank, d=args.deg_d, a=args.deg_a, w=w_largest, g=g_least)
     total = agree = conjectural = 0
     for g in genera:
         for w in ws:

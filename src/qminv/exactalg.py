@@ -83,19 +83,16 @@ class QSeries:
             raise IndexError(f"exponent {w} outside truncation 0..{self.order}")
         return self.coeffs[w]
 
-    def _common_order(self, other: "QSeries") -> int:
-        return min(self.order, other.order)
-
     def __add__(self, other: "QSeries") -> "QSeries":
         if other.__class__ is not QSeries:
             return NotImplemented
-        n = self._common_order(other)
+        n = min(self.order, other.order)
         return QSeries(tuple(self.coeffs[w] + other.coeffs[w] for w in range(n + 1)))
 
     def __sub__(self, other: "QSeries") -> "QSeries":
         if other.__class__ is not QSeries:
             return NotImplemented
-        n = self._common_order(other)
+        n = min(self.order, other.order)
         return QSeries(tuple(self.coeffs[w] - other.coeffs[w] for w in range(n + 1)))
 
     def __neg__(self) -> "QSeries":
@@ -104,7 +101,7 @@ class QSeries:
     def __mul__(self, other: "QSeries") -> "QSeries":
         if other.__class__ is not QSeries:
             return NotImplemented
-        n = self._common_order(other)
+        n = min(self.order, other.order)
         out = [Fraction(0)] * (n + 1)
         for i in range(n + 1):
             ci = self.coeffs[i]

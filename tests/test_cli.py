@@ -414,6 +414,11 @@ class TestSweepCommand:
             (["-r", "2", "-a", "1", "--w-max", "0", "--g", "1"], "genus must be >= 2, got 1"),
             # the bad genus comes last: no g = 3 point is printed first
             (["-r", "2", "-a", "1", "--w-max", "3", "--g", "3,1"], "genus must be >= 2, got 1"),
+            # a list names its smallest genus, a range its first, however long the range
+            (["-r", "2", "-a", "1", "--w-max", "3", "--g", "3,1,0"], "genus must be >= 2, got 0"),
+            (["-r", "2", "-a", "1", "--w-max", "3", "--g", f"1..{10 ** 12}"], "genus must be >= 2, got 1"),
+            # with no degree to sweep, a check of the range's second genus would print 0/0 agree
+            (["-r", "2", "-a", "1", "--w-max", "0", "--g", "1..3"], "genus must be >= 2, got 1"),
             # the bad degree comes last: no w = 1 point is printed first
             (["-r", "2", "-a", "1", "--w-list", "1,-1", "--g", "2"], "sweep degrees must be >= 1, got -1"),
             (["-r", "2", "-a", "1", "--w-list", "1,0", "--g", "2"], "sweep degrees must be >= 1, got 0"),
@@ -441,7 +446,8 @@ class TestSweepCommand:
             ),
         ],
         ids=[
-            "rank", "a", "genus", "genus-after-points", "w-list-negative", "w-list-zero",
+            "rank", "a", "genus", "genus-after-points", "genus-list-smallest", "genus-range-long",
+            "genus-range-no-degrees", "w-list-negative", "w-list-zero",
             "w-max-negative", "w-list-too-large", "rank-too-large", "w-list-comma", "w-list-empty",
             *(f"g-{text}" for text in MALFORMED_GENERA),
             *(f"w-list-{text}" for text in MALFORMED_DEGREES),
@@ -473,12 +479,17 @@ class TestSweepCommand:
             assert err.count("\n") == 1
             assert not os.path.exists(target)
 
-    # the degrees stream: the largest --w-max the bound takes prints its first point at once
-    @pytest.mark.parametrize("w_max", ["3000", str(10**12)])
-    def test_closed_stdout_exits_1_without_traceback(self, w_max):
+    # the grid streams: the largest --w-max the bound takes, or a genus range of
+    # any length, prints its first point at once
+    @pytest.mark.parametrize(
+        "w_max, genera",
+        [("3000", "2..5"), (str(10**12), "2..5"), ("3", f"2..{10**12}")],
+        ids=["3000", str(10**12), f"g-2..{10**12}"],
+    )
+    def test_closed_stdout_exits_1_without_traceback(self, w_max, genera):
         with subprocess.Popen(
             [sys.executable, "-m", "qminv.cli", "sweep", "-r", "2", "-d", "1", "-a", "1",
-             "--w-max", w_max, "--g", "2..5"],
+             "--w-max", w_max, "--g", genera],
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             env={**os.environ, "PYTHONPATH": str(SRC)},
