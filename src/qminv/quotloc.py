@@ -8,13 +8,13 @@ characteristics (the rank-0 quotient case by brute-force torus
 localization over all fixed-locus decompositions, each read off from its
 partial sums), and extracts each component's z-residue contribution.
 
-Two quotient classes are fully analysed: u = (0, k), where the slice
-Euler characteristic is r*k and the stabilizer has order r^2 k^2, and
+Every stabilizer is |E[dim]| = dim^2.  Two quotient classes are fully
+analysed: u = (0, k), where the slice Euler characteristic is r*k and
+dim = r*k, so the stabilizer order is |E[rk]| = r^2 k^2 there, and
 u = (r-1, k), where the slice is a projective space of dimension
-dim - 1 = r(k-a) + a - 1 and the stabilizer has order dim^2.  Components
-outside these classes carry ``supported=False`` and the conjectural dim^2
-fallback; whether a query may use them is decided once, by
-``invariants.unproven_reason``.
+dim - 1 = r(k-a) + a - 1.  Components outside these classes carry
+``supported=False``, and dim^2 is their conjectural fallback; whether a
+query may use them is decided once, by ``invariants.unproven_reason``.
 """
 
 from __future__ import annotations
@@ -42,17 +42,13 @@ def quot_dimension(r: int, a: int, u: ChernClass) -> int:
 
 
 def stabilizer_order(r: int, a: int, u: ChernClass) -> int:
-    """Order of the finite subgroup fixing the slice of the Quot scheme.
+    """Order |E[dim]| = dim^2 of the finite subgroup fixing the slice.
 
-    |E[rk]| = r^2 k^2 for u = (0, k) and |E[dim]| = dim^2 otherwise; for
-    quotient ranks outside {0, r-1} the latter is the conjectural fallback.
+    One rule for every class: for u = (0, k), dim = r*k, so this is the
+    r^2 k^2 = |E[rk]| of that class; for quotient ranks outside {0, r-1}
+    it is the conjectural fallback.
     """
-    dim = quot_dimension(r, a, u)
-    if u.rank == 0:
-        if u.deg < 1:
-            raise ValueError("zero quotient class has no finite stabilizer")
-        return torsion_order(r * u.deg)
-    return torsion_order(dim)
+    return torsion_order(quot_dimension(r, a, u))
 
 
 def slice_euler_bruteforce(r: int, u: ChernClass) -> int:
@@ -117,7 +113,8 @@ class WallComponent(namedtuple("WallComponent", "divisor twist quotient_class di
     The base degrees are (c1, ch2) = (rk(u), -deg(u)) * w for the query's
     u_choice u, so m divides both.  twist is the unique integer h with
     h*r - c1/m in [0, r-1]; the quotient class is h*(r, a) - (c1/m, ch2/m).
-    dim equals w/m for every component.  supported is False when the
+    dim equals w/m for every component, since chi((r, a), u) = 1 times
+    w/m, and ``wall_components`` checks it.  supported is False when the
     quotient rank is outside the analysed classes {0, r-1} and the
     stabilizer is the dim^2 fallback.
     """
@@ -137,6 +134,8 @@ def wall_components(query: InvariantQuery) -> list[WallComponent]:
         h = -(-x1 // r)
         u_m = ChernClass(h * r - x1, h * a - x2)
         dim = quot_dimension(r, a, u_m)
+        if dim != query.w // m:
+            raise RuntimeError(f"component m={m} has dimension {dim}, expected w/m = {query.w // m}")
         stab = stabilizer_order(r, a, u_m)
         euler = slice_euler_bruteforce(r, u_m) if u_m.rank == 0 else dim
         components.append(

@@ -332,6 +332,19 @@ class TestOracleCanDisagree:
         assert code == 2
         assert err.startswith("route disagreement: ")
 
+    def test_wrong_dimension_fails_the_component_check(self, capsys, monkeypatch):
+        # both components at w = 3 have quotient rank r - 1, where the value
+        # is the same whatever dim is; only the check dim = w/m notices
+        original = quotloc.quot_dimension
+        monkeypatch.setattr(quotloc, "quot_dimension", lambda r, a, u: original(r, a, u) + 1)
+        code, _, err = run(
+            capsys,
+            "invariant", "-r", "2", "-d", "1", "-a", "1", "-w", "3", "-g", "3",
+            "--route", "both",
+        )
+        assert code == 2
+        assert err.startswith("internal check failed: ")
+
     def test_oracle_decides_emptiness_itself(self, capsys, monkeypatch):
         # the oracle reads emptiness off its own base degrees, so a broken
         # degree_congruent moves only the closed form

@@ -150,6 +150,9 @@ CASES: dict[str, list[str]] = {
         ["sweep", "-r", "3", "-d", "1", "-a", "1", "--w-list", "1,3,9", "--g", "2", "--format", "json"]),
     "sweep_w_list_a2_table": (
         ["sweep", "-r", "3", "-d", "1", "-a", "2", "--w-list", "2,3,6", "--g", "3"]),
+    # a list runs in the order given, repeats included; only a range ascends
+    "sweep_w_list_given_order_table": (
+        ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-list", "5,3,3", "--g", "4,2"]),
     "sweep_permissive_table": (
         ["sweep", "-r", "3", "-d", "2", "-a", "1", "--w-list", "2,5", "--g", "2", "--permissive"]),
     "sweep_permissive_json": (

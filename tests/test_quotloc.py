@@ -76,7 +76,7 @@ class TestStabilizerOrder:
         assert stabilizer_order(5, 2, ChernClass(2, 1)) == dim * dim
 
     def test_degenerate_quotient(self):
-        with pytest.raises(ValueError, match="zero quotient class has no finite stabilizer"):
+        with pytest.raises(ValueError, match="torsion_order requires n >= 1, got 0"):
             stabilizer_order(2, 1, ChernClass(0, 0))
 
 
