@@ -46,7 +46,6 @@ from .quotloc import (
     normal_bundle_inverse_expansion,
     quot_dimension,
     slice_euler_bruteforce,
-    stabilizer_order,
     wall_components,
 )
 
@@ -83,7 +82,6 @@ __all__ = [
     "sigma_minus_one",
     "slice_euler_bruteforce",
     "solve_base_degrees",
-    "stabilizer_order",
     "torsion_order",
     "unproven_reason",
     "wall_components",

@@ -8,13 +8,14 @@ characteristics (the rank-0 quotient case by brute-force torus
 localization over all fixed-locus decompositions, each read off from its
 partial sums), and extracts each component's z-residue contribution.
 
-Every stabilizer is |E[dim]| = dim^2.  Two quotient classes are fully
-analysed: u = (0, k), where the slice Euler characteristic is r*k and
-dim = r*k, so the stabilizer order is |E[rk]| = r^2 k^2 there, and
-u = (r-1, k), where the slice is a projective space of dimension
-dim - 1 = r(k-a) + a - 1.  Components outside these classes carry
-``supported=False``, and dim^2 is their conjectural fallback; whether a
-query may use them is decided once, by ``invariants.unproven_reason``.
+One rule gives every stabilizer: the torsion subgroup E[dim] of the
+component's dimension, of order ``torsion_order(dim)`` = dim^2.  Two
+quotient classes are fully analysed: u = (0, k), where dim = r*k and the
+slice Euler characteristic is r*k, and u = (r-1, k), where the slice is a
+projective space of dimension dim - 1 = r(k-a) + a - 1.  Components
+outside these classes carry ``supported=False``, and the rule is
+conjectural for them; whether a query may use them is decided once, by
+``invariants.unproven_reason``.
 """
 
 from __future__ import annotations
@@ -39,16 +40,6 @@ def quot_dimension(r: int, a: int, u: ChernClass) -> int:
             f"quotient class ({u.rank},{u.deg}) has negative dimension {dim}"
         )
     return dim
-
-
-def stabilizer_order(r: int, a: int, u: ChernClass) -> int:
-    """Order |E[dim]| = dim^2 of the finite subgroup fixing the slice.
-
-    One rule for every class: for u = (0, k), dim = r*k, so this is the
-    r^2 k^2 = |E[rk]| of that class; for quotient ranks outside {0, r-1}
-    it is the conjectural fallback.
-    """
-    return torsion_order(quot_dimension(r, a, u))
 
 
 def slice_euler_bruteforce(r: int, u: ChernClass) -> int:
@@ -114,9 +105,10 @@ class WallComponent(namedtuple("WallComponent", "divisor twist quotient_class di
     u_choice u, so m divides both.  twist is the unique integer h with
     h*r - c1/m in [0, r-1]; the quotient class is h*(r, a) - (c1/m, ch2/m).
     dim equals w/m for every component, since chi((r, a), u) = 1 times
-    w/m, and ``wall_components`` checks it.  supported is False when the
-    quotient rank is outside the analysed classes {0, r-1} and the
-    stabilizer is the dim^2 fallback.
+    w/m, and ``wall_components`` checks it.  stab_order is
+    ``torsion_order(dim)`` = |E[dim]| = dim^2.  supported is False when the
+    quotient rank is outside the analysed classes {0, r-1}, where that
+    order is conjectural.
     """
 
     __slots__ = ()
@@ -136,7 +128,6 @@ def wall_components(query: InvariantQuery) -> list[WallComponent]:
         dim = quot_dimension(r, a, u_m)
         if dim != query.w // m:
             raise RuntimeError(f"component m={m} has dimension {dim}, expected w/m = {query.w // m}")
-        stab = stabilizer_order(r, a, u_m)
         euler = slice_euler_bruteforce(r, u_m) if u_m.rank == 0 else dim
         components.append(
             WallComponent(
@@ -144,7 +135,7 @@ def wall_components(query: InvariantQuery) -> list[WallComponent]:
                 twist=h,
                 quotient_class=u_m,
                 dim=dim,
-                stab_order=stab,
+                stab_order=torsion_order(dim),
                 slice_euler=euler,
                 supported=u_m.rank in (0, r - 1),
             )

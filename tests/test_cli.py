@@ -293,7 +293,7 @@ class TestExitCodes:
 
 
 def _double_stabilizer(original):
-    return lambda r, a, u: 2 * original(r, a, u)
+    return lambda n: 2 * original(n)
 
 
 def _negate_pole(original):
@@ -314,7 +314,7 @@ class TestOracleCanDisagree:
     @pytest.mark.parametrize(
         "name, perturb, w, d",
         [
-            ("stabilizer_order", _double_stabilizer, "3", "1"),
+            ("torsion_order", _double_stabilizer, "3", "1"),
             ("normal_bundle_inverse_expansion", _negate_pole, "3", "1"),
             # c_1 per unit of dimension is omega + t in place of omega - t
             ("_C1_UNIT", lambda original: EquivCoeff(t=1, omega=1), "3", "1"),

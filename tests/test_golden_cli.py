@@ -27,8 +27,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-import pytest
-
 import qminv.cli as cli
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -229,7 +227,13 @@ def test_corpus_files_match_cases():
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(CASES)
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+def pytest_generate_tests(metafunc):
+    # a hook, not pytest.mark.parametrize, so that tools/mutate.py's first
+    # detector imports this module without importing pytest
+    if "name" in metafunc.fixturenames:
+        metafunc.parametrize("name", sorted(CASES))
+
+
 def test_golden_case(name, tmp_path):
     expected = json.loads((GOLDEN / f"{name}.json").read_text(encoding="utf-8"))
     assert run_case(CASES[name], tmp_path / "out.json") == expected
@@ -247,6 +251,22 @@ def test_mutation_stage1_passes_on_clean_tree():
         [sys.executable, "-c", mutate.STAGE1], cwd=root, env=env, capture_output=True, text=True, timeout=120
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
+def test_corpus_module_imports_no_pytest():
+    # every mutant's first detector imports this module; pytest would add
+    # to each one's start-up
+    root = Path(__file__).resolve().parent.parent
+    probe = "import sys; sys.path.insert(0, 'tests'); import test_golden_cli; print('pytest' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe],
+        cwd=root,
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
 
 def record() -> None:

@@ -8,7 +8,7 @@ from math import ceil, comb, gcd
 import pytest
 
 import qminv.quotloc as quotloc
-from qminv.arith import ChernClass, InvariantQuery, canonical_u_choice
+from qminv.arith import ChernClass, InvariantQuery, canonical_u_choice, torsion_order
 from qminv.exactalg import EquivCoeff, laurent_residue
 from qminv.invariants import UnsupportedQueryError, qm_elliptic_oracle
 from qminv.quotloc import (
@@ -17,7 +17,6 @@ from qminv.quotloc import (
     normal_bundle_inverse_expansion,
     quot_dimension,
     slice_euler_bruteforce,
-    stabilizer_order,
     wall_components,
 )
 
@@ -31,6 +30,7 @@ class TestQuotDimension:
             (2, 1, ChernClass(1, 2), 3),
             (2, 1, ChernClass(0, 1), 2),
             (3, 1, ChernClass(2, 2), 4),
+            (2, 1, ChernClass(0, 0), 0),
         ],
     )
     def test_examples(self, r, a, u, expected):
@@ -60,7 +60,10 @@ class TestStabilizerOrder:
         ],
     )
     def test_examples(self, r, a, u, expected):
-        assert stabilizer_order(r, a, u) == expected
+        # w = 6, d = 0 has a component of each of the three classes
+        query = InvariantQuery(r=r, d=0, a=a, w=6, g=2)
+        [component] = [c for c in wall_components(query) if c.quotient_class == u]
+        assert component.stab_order == expected
 
     def test_unsupported_rank_strict(self):
         # r=5, a=2, d=3, w=1: the only component is u = (2, 1), outside
@@ -72,12 +75,8 @@ class TestStabilizerOrder:
             qm_elliptic_oracle(query)
 
     def test_unsupported_rank_permissive_fallback(self):
-        dim = quot_dimension(5, 2, ChernClass(2, 1))
-        assert stabilizer_order(5, 2, ChernClass(2, 1)) == dim * dim
-
-    def test_degenerate_quotient(self):
-        with pytest.raises(ValueError, match="torsion_order requires n >= 1, got 0"):
-            stabilizer_order(2, 1, ChernClass(0, 0))
+        [component] = wall_components(InvariantQuery(r=5, d=3, a=2, w=1, g=2))
+        assert component.stab_order == component.dim * component.dim
 
 
 class TestSliceEuler:
@@ -132,7 +131,7 @@ class TestProjectiveSliceEuler:
         # for u = (r-1, k) the slice is P^(dim-1), Euler characteristic dim,
         # over a stabilizer of order dim^2: exactly 1/dim
         dim = quot_dimension(r, a, u)
-        assert F(dim, stabilizer_order(r, a, u)) == expected == F(1, dim)
+        assert F(dim, torsion_order(dim)) == expected == F(1, dim)
 
 
 class TestNormalBundleExpansion:

@@ -19,7 +19,8 @@ where) and judged by two detectors, one subprocess at a time:
 1. the golden CLI corpus (``tests/test_golden_cli.py::CASES``, the
    ``selfcheck`` case included) replayed in-process against
    ``tests/golden``, in the order of ``CASES``, up to the first case whose
-   stdout, stderr, exit code or ``--out`` file differs;
+   stdout, stderr, exit code or ``--out`` file differs; that module
+   imports no pytest, so each mutant's replay starts fast;
 2. the tier-1 test suite, on the mutants stage 1 left alive.
 
 A detector that fails, raises or runs past its time limit kills the
@@ -38,8 +39,8 @@ a survivor has none.  The score leaves the explained (equivalent)
 survivors out of the denominator, so deleting killed code cannot lower
 it; the raw counts follow on their own line, then killed / all per
 module, with the stage-1 kills in brackets.  To score another checkout,
-run its own copy of this script.  A run took 5.3 minutes on a 2-vCPU
-machine with Python 3.11, so it is not part of tier-1.
+run its own copy of this script.  A run took 3.2 to 4.2 minutes on a
+2-vCPU machine with Python 3.11, so it is not part of tier-1.
 """
 
 from __future__ import annotations
