@@ -18,9 +18,11 @@ which reads only the record's own strings.  It writes the ``--out`` file
 only after the last record, so a ``sweep`` stopped in strict mode keeps
 its earlier points on stdout and writes no file.
 
-Exit codes are the machine contract: 0 success, 1 failed selfcheck or
-closed stdout, 2 route or identity disagreement or internal cross-check
-failure, 3 unsupported query in strict mode, 4 invalid input.
+Every integer flag, and each number of ``--g`` and ``--w-list``, is
+``-?[0-9]+``.  Exit codes are the machine contract: 0 success, 1 failed
+selfcheck or closed stdout, 2 route or identity disagreement or internal
+cross-check failure, 3 unsupported query in strict mode, 4 invalid input,
+a usage error included (argparse's own message).
 Rationals are printed exactly as "p/q" strings, never as decimals,
 unless an approximation is explicitly requested with --decimal.
 """
@@ -52,15 +54,14 @@ EXIT_UNSUPPORTED = 3
 EXIT_INVALID = 4
 
 DEFAULT_SERIES_ORDER = 50
+_INTEGER = "-?[0-9]+"  # int() alone would also take "+", "_", blanks and non-ASCII digits
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse parser whose usage errors exit with code 4."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_INVALID)
+def _integer(text: str) -> int:
+    """The argparse ``type=`` of every integer flag."""
+    if not re.fullmatch(_INTEGER, text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _breakdown_payload(breakdown) -> list[dict]:
@@ -130,19 +131,21 @@ def _cmd_invariant(args) -> int:
             raise ValueError("--decimal: value is too large for a float approximation") from None
     if args.raw:
         payload["raw"] = f"({payload['value']})*t"
-    _emit(args, [payload], _invariant_text)
-    if not agree:
-        closed, oracle = payload["routes"].values()
-        if closed["value"] != oracle["value"]:
-            detail = f"closed={closed['value']} oracle={oracle['value']}"
-        else:
-            detail = (
-                f"equal values {oracle['value']}, breakdowns differ: closed "
-                f"{_breakdown_text(closed['breakdown'])}, oracle {_breakdown_text(oracle['breakdown'])}"
-            )
-        print(f"route disagreement: {detail}", file=sys.stderr)
-        return EXIT_DISAGREE
-    return EXIT_OK
+    try:
+        _emit(args, [payload], _invariant_text)
+    finally:
+        # reported even when --out cannot be written, whose error then sets exit 4
+        if not agree:
+            closed, oracle = payload["routes"].values()
+            if closed["value"] != oracle["value"]:
+                detail = f"closed={closed['value']} oracle={oracle['value']}"
+            else:
+                detail = (
+                    f"equal values {oracle['value']}, breakdowns differ: closed "
+                    f"{_breakdown_text(closed['breakdown'])}, oracle {_breakdown_text(oracle['breakdown'])}"
+                )
+            print(f"route disagreement: {detail}", file=sys.stderr)
+    return EXIT_OK if agree else EXIT_DISAGREE
 
 
 def _invariant_text(record: dict) -> str:
@@ -194,16 +197,12 @@ def _series_text(record: dict) -> str:
 
 
 def _parse_integers(text: str, malformed: str, empty: str, ranges: bool = False) -> range | list[int]:
-    """The integers of a comma-separated list, or the range LO..HI when ranges is set.
-
-    Each part must be ``-?[0-9]+``: int() alone would also take ``+``,
-    ``_``, blanks and non-ASCII digits.  Empty list items are skipped.
-    """
-    bounds = re.fullmatch(r"(-?[0-9]+)\.\.(-?[0-9]+)", text) if ranges else None
+    """The ``_INTEGER`` items of a comma-separated list, empty ones skipped, or LO..HI when ranges is set."""
+    bounds = re.fullmatch(rf"({_INTEGER})\.\.({_INTEGER})", text) if ranges else None
     parts = [part for part in text.split(",") if part]
     if bounds:
         values = range(int(bounds[1]), int(bounds[2]) + 1)
-    elif all(re.fullmatch("-?[0-9]+", part) for part in parts):
+    elif all(re.fullmatch(_INTEGER, part) for part in parts):
         values = [int(part) for part in parts]
     else:
         raise ValueError(malformed)
@@ -296,11 +295,11 @@ def _cmd_selfcheck(_args) -> int:
 
 
 def _add_query_flags(parser, include_genus: bool = True) -> None:
-    parser.add_argument("-r", "--rank", type=int, required=True, help="rank (>= 2)")
-    parser.add_argument("-d", "--deg-d", type=int, required=True, help="degree on the base curve")
-    parser.add_argument("-a", "--deg-a", type=int, required=True, help="degree on the elliptic curve, in [0, rank)")
+    parser.add_argument("-r", "--rank", type=_integer, required=True, help="rank (>= 2)")
+    parser.add_argument("-d", "--deg-d", type=_integer, required=True, help="degree on the base curve")
+    parser.add_argument("-a", "--deg-a", type=_integer, required=True, help="degree on the elliptic curve, in [0, rank)")
     if include_genus:
-        parser.add_argument("-g", "--genus", type=int, required=True, help="genus of the base curve (>= 2)")
+        parser.add_argument("-g", "--genus", type=_integer, required=True, help="genus of the base curve (>= 2)")
 
 
 def _add_mode_flags(parser) -> None:
@@ -314,13 +313,13 @@ def _add_output_flags(parser) -> None:
     parser.add_argument("--out", help="also write the JSON payload to this file")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="qminv", description="Exact quasimap / Vafa-Witten invariants of Higgs-bundle moduli")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(prog="qminv", description="Exact quasimap / Vafa-Witten invariants of Higgs-bundle moduli")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     inv = sub.add_parser("invariant", help="evaluate one invariant")
     _add_query_flags(inv)
-    inv.add_argument("-w", "--degree-w", type=int, required=True, help="quasimap degree (>= 0)")
+    inv.add_argument("-w", "--degree-w", type=_integer, required=True, help="quasimap degree (>= 0)")
     inv.add_argument("--route", choices=("closed", "oracle", "both"), default="both", help="evaluation route (default: both, with agreement check)")
     inv.add_argument("--side", choices=("elliptic", "moduli"), default="elliptic", help="report the elliptic-side value or the moduli-side value (r^(2g) times larger)")
     inv.add_argument("--decimal", action="store_true", help="add a clearly marked decimal approximation")
@@ -330,14 +329,14 @@ def build_parser() -> _Parser:
 
     ser = sub.add_parser("series", help="verify a generating-series identity")
     ser.add_argument("--identity", choices=("A", "B"), required=True, help="A: odd-degree difference identity; B: even-degree sum identity")
-    ser.add_argument("--genus", type=int, required=True)
-    ser.add_argument("--order", type=int, default=DEFAULT_SERIES_ORDER, help=f"truncation order (default: {DEFAULT_SERIES_ORDER})")
+    ser.add_argument("--genus", type=_integer, required=True)
+    ser.add_argument("--order", type=_integer, default=DEFAULT_SERIES_ORDER, help=f"truncation order (default: {DEFAULT_SERIES_ORDER})")
     _add_output_flags(ser)
 
     swp = sub.add_parser("sweep", help="compare oracle and closed form over a grid")
     _add_query_flags(swp, include_genus=False)
     degrees = swp.add_mutually_exclusive_group(required=True)
-    degrees.add_argument("--w-max", type=int, help="sweep w = 1..w-max")
+    degrees.add_argument("--w-max", type=_integer, help="sweep w = 1..w-max")
     degrees.add_argument("--w-list", help="comma-separated list of degrees")
     swp.add_argument("--g", required=True, help="genus range, e.g. 2..5 or 2,4 or 3")
     _add_mode_flags(swp)
@@ -356,7 +355,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_INVALID
+        return EXIT_INVALID if exc.code else EXIT_OK  # argparse: 0 after --help, 2 on a usage error
     handlers = {"invariant": _cmd_invariant, "series": _cmd_series, "sweep": _cmd_sweep, "selfcheck": _cmd_selfcheck}
     try:
         return handlers[args.command](args)

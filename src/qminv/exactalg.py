@@ -143,9 +143,8 @@ def series_log_product(order: int) -> QSeries:
     coefficient of q**w is -sum_{m | w} 1/m = -sigma_1(w) / w.  The loop
     sums the integers sigma_1(w) (the term 1/j of q**(k*j) is k/w) and
     builds one ``Fraction`` per coefficient.  The constant term is 0.
+    An order below 1 leaves only that term, which ``QSeries`` refuses.
     """
-    if order < 1:
-        raise ValueError("truncation order must be >= 1")
     sigma = [0] * (order + 1)
     for k in range(1, order + 1):
         for j in range(1, order // k + 1):

@@ -154,6 +154,29 @@ class TestExitCodes:
         factor = 3 ** 4 if side == "moduli" else 1
         assert Fraction(record["value"]) == Fraction(12, 5) * factor
 
+    @pytest.mark.parametrize("text", MALFORMED_DEGREES)
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            # genus 3, so that no argv here is a golden case's
+            *((["invariant", "-r", "2", "-d", "1", "-a", "1", "-w", "3", "-g", "3"], flag)
+              for flag in ("-r", "-d", "-a", "-w", "-g")),
+            (["series", "--identity", "A", "--genus", "3", "--order", "3"], "--genus"),
+            (["series", "--identity", "A", "--genus", "3", "--order", "3"], "--order"),
+            (["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", "3", "--g", "3"], "--w-max"),
+        ],
+        ids=["r", "d", "a", "w", "g", "series-genus", "order", "w-max"],
+    )
+    def test_every_integer_flag_is_plain_digits(self, capsys, argv, flag, text):
+        # the grammar of --g and --w-list, reported by argparse as a usage error
+        argv = list(argv)
+        argv[argv.index(flag) + 1] = text
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (4, "")
+        *_, last = err.splitlines()
+        assert f": error: argument {flag}" in last
+        assert last.endswith(f": invalid int value: {text!r}")
+
     def test_route_disagreement_output(self, capsys, monkeypatch):
         def fake_closed(query, strict=True):
             return InvariantResult(Fraction(999), (), ROUTE_CLOSED, False)
@@ -344,6 +367,20 @@ class TestOracleCanDisagree:
         )
         assert code == 2
         assert err.startswith("internal check failed: ")
+
+    def test_disagreement_is_reported_when_out_cannot_be_written(self, capsys, monkeypatch, tmp_path):
+        # the disagreement line comes first; the unwritable file sets the exit code
+        monkeypatch.setattr(quotloc, "torsion_order", _double_stabilizer(quotloc.torsion_order))
+        code, out, err = run(
+            capsys,
+            "invariant", "-r", "2", "-d", "1", "-a", "1", "-w", "3", "-g", "2",
+            "--out", str(tmp_path / "missing" / "record.json"),
+        )
+        assert code == 4
+        assert "route_agreement: FAIL" in out
+        disagreement, unwritable = err.splitlines()
+        assert disagreement.startswith("route disagreement: closed=8/3 oracle=")
+        assert unwritable.startswith("invalid input: cannot write --out file: ")
 
     def test_oracle_decides_emptiness_itself(self, capsys, monkeypatch):
         # the oracle reads emptiness off its own base degrees, so a broken

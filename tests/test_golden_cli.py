@@ -113,6 +113,10 @@ CASES: dict[str, list[str]] = {
     "invariant_exit4_bad_a": (
         ["invariant", "-r", "4", "-d", "1", "-a", "2", "-w", "1", "-g", "2"]),
     "invariant_exit4_usage": ["invariant", "-r", "2"],
+    "invariant_exit4_w_not_integer": INV[:8] + ["x", "-g", "2"],
+    # every integer flag is -?[0-9]+ only: not the "_", "+" or non-ASCII
+    # digit that int() takes
+    "invariant_exit4_w_underscore": INV[:8] + ["1_0", "-g", "2"],
     # a rank or degree above 10**12 is refused before is_prime or divisors
     # trial-divides up to its square root
     "invariant_exit4_w_too_large": (
@@ -126,7 +130,13 @@ CASES: dict[str, list[str]] = {
         ["invariant", "-r", str(10 ** 12), "-d", "0", "-a", "1", "-w", "0", "-g", "2"]),
     "invariant_w0_largest_prime_rank_json": (
         ["invariant", "-r", "999999999989", "-d", "0", "-a", "1", "-w", "0", "-g", "2", "--format", "json"]),
+    # 14398 * 2^14400 has 4339 digits, past CPython's default int-to-str limit
+    "invariant_moduli_g7200_json": (
+        ["invariant", "-r", "2", "-d", "1", "-a", "1", "-w", "1", "-g", "7200", "--side", "moduli",
+         "--format", "json"]),
     "exit4_no_command": [],
+    "exit0_help": ["--help"],
+    "sweep_exit0_help": ["sweep", "--help"],
     "series_a_table": ["series", "--identity", "A", "--genus", "2", "--order", "10"],
     "series_a_json": (
         ["series", "--identity", "A", "--genus", "3", "--order", "9", "--format", "json"]),
@@ -137,6 +147,7 @@ CASES: dict[str, list[str]] = {
     # the default --order, which no other case reaches
     "series_a_default_order": ["series", "--identity", "A", "--genus", "2"],
     "series_exit4_order_zero": ["series", "--identity", "A", "--genus", "2", "--order", "0"],
+    "series_exit4_order_nonascii": ["series", "--identity", "A", "--genus", "2", "--order", "\u0663"],
     # 2**62 coefficients fail Python's own length check before any allocation
     "series_exit4_order_too_large": (
         ["series", "--identity", "A", "--genus", "2", "--order", str(2 ** 62)]),
@@ -179,6 +190,7 @@ CASES: dict[str, list[str]] = {
     "sweep_exit4_usage": ["sweep", "-r", "2", "-d", "1", "-a", "1", "--g", "2"],
     "sweep_exit4_w_list_zero": ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-list", "1,0", "--g", "2"],
     "sweep_exit4_negative_w_max": ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", "-3", "--g", "2"],
+    "sweep_exit4_w_max_plus": ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", "+3", "--g", "2"],
     "sweep_exit4_w_list_empty": ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-list", ",", "--g", "2"],
     "sweep_exit4_genus_range_malformed": (
         ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", "3", "--g", "2..5..7"]),
