@@ -9,17 +9,16 @@ point is used anywhere.  Two coefficient types live here:
   ``const + t*t + omega*omega``, where ``omega`` stands for the first
   Chern class of the canonical bundle of the base curve and ``t`` is the
   equivariant weight of the scaling torus.  A coefficient is written as
-  a literal and only ever scaled; the caller reads its fields.
+  a literal and has no operations; the caller reads its fields.
 
 An expansion in the localisation variable ``z`` is a plain ``dict`` from
 exponent to ``EquivCoeff``; its producer decides which terms it holds,
 and ``laurent_residue`` reads the ``z**-1`` entry.
 
 Values are coerced to ``Fraction`` once, on entry; arithmetic on
-``Fraction`` coefficients never coerces its own results again.  Zero
-slots are passed through without arithmetic: ``EquivCoeff.scale`` and
-the ``QSeries`` product build a new ``Fraction`` only where a nonzero
-value needs one.
+``Fraction`` coefficients never coerces its own results again.  The
+``QSeries`` product skips zero factors, so it builds a new ``Fraction``
+only where a nonzero value needs one.
 """
 
 from __future__ import annotations
@@ -157,8 +156,9 @@ class EquivCoeff(namedtuple("EquivCoeff", "const t omega")):
 
     Each field is the coefficient of the variable it is named after.
     Degree-2 terms (t**2, t*omega) are not represented: the base is a
-    curve, and the value is read in t-degree 1.  The only operation is
-    ``scale``, so nothing can leave the three slots.
+    curve, and the value is read in t-degree 1.  A coefficient is a plain
+    record: it is written as a literal, its fields are coerced to
+    ``Fraction``, and it has no operations.
     """
 
     __slots__ = ()
@@ -168,10 +168,6 @@ class EquivCoeff(namedtuple("EquivCoeff", "const t omega")):
 
     # namedtuple's own _make, behind _replace, would skip the coercion
     _make = classmethod(lambda cls, it: cls(*it))
-
-    def scale(self, c) -> "EquivCoeff":
-        c = _as_fraction(c)
-        return tuple.__new__(EquivCoeff, [c * v if v else v for v in self])
 
 
 # EquivCoeff is immutable, so one zero serves every residue without a pole:

@@ -72,10 +72,9 @@ def slice_euler_bruteforce(r: int, u: ChernClass) -> int:
     return total
 
 
-# The z^0 term, and c_1 per unit of dimension: omega - t.  An EquivCoeff is
-# immutable, so every expansion can share them without copying.
+# The z^0 term.  An EquivCoeff is immutable, so every expansion can share
+# it without copying.
 _ONE = EquivCoeff(1)
-_C1_UNIT = EquivCoeff(t=-1, omega=1)
 
 
 def normal_bundle_inverse_expansion(m: int, dim: int) -> dict[int, EquivCoeff]:
@@ -85,8 +84,8 @@ def normal_bundle_inverse_expansion(m: int, dim: int) -> dict[int, EquivCoeff]:
     Chern class of the twisted Hom complex is dim * (omega - t).  Only the
     z^0 and z^-1 terms are built, as ``{0: 1, -1: -c_1/m}`` (no -1 key
     when dim = 0): terms at z^-2 and below cannot contribute to any degree,
-    because the base is a curve.  The pole is one scaling of ``_C1_UNIT``
-    by -dim/m.
+    because the base is a curve.  The pole -(dim/m) * (omega - t) is
+    written as a literal from one ``Fraction(dim, m)``.
     """
     if m < 1:
         raise ValueError(f"divisor must be >= 1, got {m}")
@@ -94,7 +93,8 @@ def normal_bundle_inverse_expansion(m: int, dim: int) -> dict[int, EquivCoeff]:
         raise ValueError(f"dimension must be >= 0, got {dim}")
     terms = {0: _ONE}
     if dim:
-        terms[-1] = _C1_UNIT.scale(Fraction(-dim, m))
+        pole = Fraction(dim, m)
+        terms[-1] = EquivCoeff(t=pole, omega=-pole)
     return terms
 
 
@@ -149,11 +149,14 @@ def component_residue_degree(component: WallComponent, genus: int) -> Fraction:
     The component's virtual class is point-supported along the base
     curve, so only the t-linear part of the residue survives the product;
     taking degree then pairs in the (2g-2) factor and the orbifold Euler
-    ratio slice_euler / stab_order.  For both analysed classes the result
-    collapses to (2g-2)/m.
+    ratio slice_euler / stab_order.  The product is built as one
+    ``Fraction`` over integer numerator and denominator.  For both analysed
+    classes the result collapses to (2g-2)/m.
     """
-    residue = laurent_residue(
+    t = laurent_residue(
         normal_bundle_inverse_expansion(component.divisor, component.dim)
+    ).t
+    return Fraction(
+        t.numerator * (2 * genus - 2) * component.slice_euler,
+        t.denominator * component.stab_order,
     )
-    euler_ratio = Fraction(component.slice_euler, component.stab_order)
-    return residue.t * (2 * genus - 2) * euler_ratio

@@ -150,8 +150,8 @@ def _check_residue_pairing() -> Check:
         f = normal_bundle_inverse_expansion(m, dim)
         residue = laurent_residue(f)
         # -dim/m * (omega - t), written out slot by slot
-        expected = EquivCoeff(t=Fraction(dim, m), omega=Fraction(-dim, m))
-        ok = ok and f[0] == EquivCoeff(1) and residue == expected
+        expected = EquivCoeff(const=0, t=Fraction(dim, m), omega=Fraction(-dim, m))
+        ok = ok and f[0] == EquivCoeff(1, 0, 0) and residue == expected
         value = residue.t * (2 * g - 2) * Fraction(1, dim)
         ok = ok and value == Fraction(2 * g - 2, m)
     return ("residue engine matches the symbolic expansion", ok, "")

@@ -322,13 +322,18 @@ def _double_stabilizer(original):
 def _negate_pole(original):
     def perturbed(m, dim):
         f = original(m, dim)
-        return {0: f[0], -1: f[-1].scale(-1)}
+        return {0: f[0], -1: EquivCoeff(*(-v for v in f[-1]))}
 
     return perturbed
 
 
 def _shift_slice_euler(original):
     return lambda r, u: original(r, u) + 1
+
+
+def _read_constant_term(original):
+    # the z^0 entry in place of z^-1
+    return lambda f: original({-1: f[0]})
 
 
 class TestOracleCanDisagree:
@@ -339,8 +344,7 @@ class TestOracleCanDisagree:
         [
             ("torsion_order", _double_stabilizer, "3", "1"),
             ("normal_bundle_inverse_expansion", _negate_pole, "3", "1"),
-            # c_1 per unit of dimension is omega + t in place of omega - t
-            ("_C1_UNIT", lambda original: EquivCoeff(t=1, omega=1), "3", "1"),
+            ("laurent_residue", _read_constant_term, "3", "1"),
             # w = 6 has a rank-0 component; at w = 3 the brute force never runs
             ("slice_euler_bruteforce", _shift_slice_euler, "6", "0"),
         ],

@@ -1,4 +1,4 @@
-"""Series and coefficient-ring arithmetic."""
+"""Series and coefficient-ring arithmetic, and the residue degree read from it."""
 
 import copy
 import pickle
@@ -6,7 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+from qminv.arith import ChernClass
 from qminv.exactalg import EquivCoeff, QSeries, laurent_residue, series_log_product
+from qminv.quotloc import WallComponent, component_residue_degree, normal_bundle_inverse_expansion
 
 F = Fraction
 
@@ -178,38 +180,31 @@ class TestEquivCoeff:
             x.t = F(0)
 
 
-class TestSparseEquivCoeff:
-    """``scale`` skips zero slots; a dense reference checks them.
+class TestComponentDegree:
+    """The degree is built as one ``Fraction``; a dense product checks it.
 
-    The reference below scales every slot, zero or not, on a plain list.
-    Inputs are mostly zero and mix ``int`` and ``Fraction`` slots, so
-    every shortcut is taken.
+    The reference multiplies the residue's ``t`` slot, the (2g-2) factor
+    and the orbifold Euler ratio as three ``Fraction``s.  The component
+    fields are drawn freely, not from the analysed classes, so no
+    cancellation special to them hides a wrong numerator or denominator.
     """
 
-    @staticmethod
-    def reference(x, c):
-        return [F(c) * F(v) for v in x]
-
-    def test_zero_skipping_matches_dense_reference(self):
+    def test_one_fraction_matches_dense_product(self):
         hypothesis = pytest.importorskip("hypothesis")
         st = pytest.importorskip("hypothesis.strategies")
-        # three of the five branches draw a zero, so most slots are zero
-        slot = st.one_of(
-            st.just(0),
-            st.just(F(0)),
-            st.just(0),
-            st.integers(-4, 4),
-            st.fractions(min_value=-3, max_value=3, max_denominator=5),
-        )
-        coeffs = st.builds(EquivCoeff, slot, slot, slot)
+        positive = st.integers(1, 60)
 
         @hypothesis.settings(derandomize=True, deadline=None, max_examples=200)
-        @hypothesis.given(coeffs, slot)
-        def check(x, c):
-            result = x.scale(c)
-            assert list(result) == self.reference(x, c)
-            assert type(result) is EquivCoeff
-            assert all(type(v) is F for v in result)
+        @hypothesis.given(positive, positive, st.integers(-5, 60), positive, st.integers(-3, 12))
+        def check(m, dim, slice_euler, stab_order, g):
+            component = WallComponent(
+                divisor=m, twist=0, quotient_class=ChernClass(0, dim), dim=dim,
+                stab_order=stab_order, slice_euler=slice_euler, supported=True,
+            )
+            residue = laurent_residue(normal_bundle_inverse_expansion(m, dim))
+            degree = component_residue_degree(component, g)
+            assert degree == residue.t * (2 * g - 2) * F(slice_euler, stab_order)
+            assert type(degree) is F
 
         check()
 
@@ -225,8 +220,8 @@ class TestLaurentResidue:
         assert laurent_residue(f) == EquivCoeff()
 
     def test_geometric_expansion_residue(self):
-        # sum_k (-m z)^(-k) c_k with c_0 = 1, c_1 = c has residue -c/m
-        m = 3
-        c = EquivCoeff(t=2, omega=1)
-        f = {0: EquivCoeff(1), -1: c.scale(F(-1, m))}
-        assert laurent_residue(f) == c.scale(F(-1, m))
+        # sum_k (-m z)^(-k) c_k with c_0 = 1 and c_1 = 2t + omega, at m = 3,
+        # has residue -c_1/3
+        pole = EquivCoeff(t=F(-2, 3), omega=F(-1, 3))
+        f = {0: EquivCoeff(1), -1: pole}
+        assert laurent_residue(f) == pole

@@ -109,9 +109,18 @@ CASES: dict[str, list[str]] = {
         ["invariant", "-r", "4", "-d", "1", "-a", "1", "-w", "5", "-g", "2"]),
     "invariant_exit3_rank9": (
         ["invariant", "-r", "9", "-d", "1", "-a", "1", "-w", "1", "-g", "2"]),
+    # 25 = 5^2: a trial division that stepped past 5 would call it prime
+    "invariant_exit3_rank25": (
+        ["invariant", "-r", "25", "-d", "1", "-a", "1", "-w", "1", "-g", "2"]),
     "invariant_exit4_negative_w": INV[:8] + ["-3", "-g", "2"],
     "invariant_exit4_bad_a": (
         ["invariant", "-r", "4", "-d", "1", "-a", "2", "-w", "1", "-g", "2"]),
+    # both ends of the range 0 <= a < r: a = r is out of range, and a = 0 is
+    # in it but has no unit normalisation
+    "invariant_exit4_a_equals_rank": (
+        ["invariant", "-r", "3", "-d", "0", "-a", "3", "-w", "1", "-g", "2"]),
+    "invariant_exit4_a_zero": (
+        ["invariant", "-r", "3", "-d", "0", "-a", "0", "-w", "1", "-g", "2"]),
     "invariant_exit4_usage": ["invariant", "-r", "2"],
     "invariant_exit4_w_not_integer": INV[:8] + ["x", "-g", "2"],
     # every integer flag is -?[0-9]+ only: not the "_", "+" or non-ASCII
