@@ -33,6 +33,7 @@ from .invariants import (
     UnsupportedQueryError,
     degree_congruent,
     qm_degree_zero,
+    qm_elliptic,
     qm_elliptic_closed,
     qm_elliptic_oracle,
     qm_moduli,
@@ -72,6 +73,7 @@ __all__ = [
     "laurent_residue",
     "normal_bundle_inverse_expansion",
     "qm_degree_zero",
+    "qm_elliptic",
     "qm_elliptic_closed",
     "qm_elliptic_oracle",
     "qm_moduli",

@@ -117,7 +117,7 @@ def canonical_u_choice(r: int, a: int) -> ChernClass:
     return ChernClass(u1, u2)
 
 
-class InvariantQuery(namedtuple("InvariantQuery", "r d a w g u_choice")):
+class InvariantQuery(namedtuple("InvariantQuery", "r d a w g")):
     """A validated invariant request; ``_replace`` and ``_make`` validate too.
 
     r      rank, in [2, 10**12]
@@ -125,9 +125,9 @@ class InvariantQuery(namedtuple("InvariantQuery", "r d a w g u_choice")):
     a      degree on the elliptic curve, in [0, r), coprime to r
     w      quasimap degree, in [0, 10**12]
     g      genus of the base curve (>= 2)
-    u_choice  universal-family normalisation; must pair to 1 against
-              (r, a).  Defaults to ``canonical_u_choice(r, a)``, which is
-              (1, 0) when a = 1.
+
+    ``base_degrees`` normalises by ``canonical_u_choice(r, a)``, (1, 0) when
+    a = 1.  The keyword ``u_choice`` is not stored: it is None or that class.
     """
 
     __slots__ = ()
@@ -145,18 +145,13 @@ class InvariantQuery(namedtuple("InvariantQuery", "r d a w g u_choice")):
             raise ValueError(f"quasimap degree must be <= {_MAX_SIZE}, got {w}")
         if not 0 <= a < r:
             raise ValueError(f"a must lie in [0, {r}), got {a}")
-        if u_choice is None:
-            u_choice = canonical_u_choice(r, a)
-        # chi = r*deg(u) + a*rk(u) = 1 forces gcd(r, a) = 1
-        if chi_pairing_elliptic(ChernClass(r, a), u_choice) != 1:
-            raise ValueError(
-                f"u_choice=({u_choice.rank},{u_choice.deg}) does not "
-                f"pair to 1 against ({r},{a})"
-            )
-        return tuple.__new__(cls, (r, d, a, w, g, u_choice))
+        canonical = canonical_u_choice(r, a)  # rejects a non-coprime a
+        if u_choice not in (None, canonical):
+            raise ValueError(f"u_choice must be None or canonical_u_choice({r}, {a}) = {canonical!r}, got {u_choice!r}")
+        return tuple.__new__(cls, (r, d, a, w, g))
 
     # namedtuple's own _make, behind _replace, would skip the checks above
     _make = classmethod(lambda cls, it: cls(*it))
 
     def base_degrees(self) -> BaseDegrees:
-        return solve_base_degrees(self.r, self.a, self.w, self.u_choice)
+        return solve_base_degrees(self.r, self.a, self.w, canonical_u_choice(self.r, self.a))

@@ -41,6 +41,7 @@ from .invariants import (
     ROUTE_ORACLE,
     UnsupportedQueryError,
     qm_degree_zero,
+    qm_elliptic,
     qm_elliptic_closed,
     qm_elliptic_oracle,
     qm_moduli,
@@ -93,13 +94,6 @@ def _emit(args, records, text) -> dict:
     return record
 
 
-def _result_for(query: InvariantQuery, route: str, side: str, strict: bool):
-    if side == "moduli":
-        return qm_moduli(query, route=route, strict=strict)
-    elliptic = qm_elliptic_closed if route == ROUTE_CLOSED else qm_elliptic_oracle
-    return elliptic(query, strict=strict)
-
-
 def _cmd_invariant(args) -> int:
     query = InvariantQuery(r=args.rank, d=args.deg_d, a=args.deg_a, w=args.degree_w, g=args.genus)
     routes = {"closed": (ROUTE_CLOSED,), "oracle": (ROUTE_ORACLE,), "both": (ROUTE_CLOSED, ROUTE_ORACLE)}[args.route]
@@ -108,7 +102,8 @@ def _cmd_invariant(args) -> int:
     if query.w == 0 and args.side == "elliptic" and args.route != "oracle":
         results = [qm_degree_zero(query)]
     else:
-        results = [_result_for(query, route, args.side, not args.permissive) for route in routes]
+        evaluate = qm_moduli if args.side == "moduli" else qm_elliptic
+        results = [evaluate(query, route=route, strict=not args.permissive) for route in routes]
     result = results[-1]
     agree = all(_agree(other, result) for other in results)
     payload = {

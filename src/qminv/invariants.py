@@ -129,22 +129,27 @@ def qm_elliptic_oracle(query: InvariantQuery, strict: bool = True) -> InvariantR
     return InvariantResult(value, breakdown, ROUTE_ORACLE, conjectural)
 
 
-def qm_moduli(
-    query: InvariantQuery, route: str = ROUTE_CLOSED, strict: bool = True
-) -> InvariantResult:
+def qm_elliptic(query: InvariantQuery, route: str = ROUTE_CLOSED, strict: bool = True) -> InvariantResult:
+    """Elliptic-side invariant on the named route; an unknown name raises ``ValueError``."""
+    # the route functions are read when called, so a rebinding of either is seen
+    if route == ROUTE_CLOSED:
+        return qm_elliptic_closed(query, strict=strict)
+    if route == ROUTE_ORACLE:
+        return qm_elliptic_oracle(query, strict=strict)
+    raise ValueError(f"unknown route {route!r}")
+
+
+def qm_moduli(query: InvariantQuery, route: str = ROUTE_CLOSED, strict: bool = True) -> InvariantResult:
     """Moduli-side invariant: r^(2g) times the elliptic-side value.
 
-    Value and breakdown are the chosen elliptic route's, scaled by
-    r^(2g); ``strict`` is that route's proven-set gate
+    Value and breakdown are ``qm_elliptic``'s on the same route, scaled
+    by r^(2g); ``strict`` is that route's proven-set gate
     (``unproven_reason``).  With ``strict=False`` a composite rank gives
     the conjectural all-rank formula, flagged conjectural.  The same
     number is the Vafa-Witten invariant of the product surface, and for
     odd w the genus-1 Gromov-Witten invariant of the moduli space.
     """
-    if route not in (ROUTE_CLOSED, ROUTE_ORACLE):
-        raise ValueError(f"unknown route {route!r}")
-    elliptic = qm_elliptic_closed if route == ROUTE_CLOSED else qm_elliptic_oracle
-    base = elliptic(query, strict=strict)
+    base = qm_elliptic(query, route=route, strict=strict)
     factor = Fraction(query.r) ** (2 * query.g)
     breakdown = tuple((m, c * factor) for m, c in base.breakdown)
     return InvariantResult(base.value_t * factor, breakdown, base.route, base.conjectural)

@@ -101,9 +101,10 @@ def normal_bundle_inverse_expansion(m: int, dim: int) -> dict[int, EquivCoeff]:
 class WallComponent(namedtuple("WallComponent", "divisor twist quotient_class dim stab_order slice_euler supported")):
     """One divisor's Quot-scheme component of the wall locus.
 
-    The base degrees are (c1, ch2) = (rk(u), -deg(u)) * w for the query's
-    u_choice u, so m divides both.  twist is the unique integer h with
-    h*r - c1/m in [0, r-1]; the quotient class is h*(r, a) - (c1/m, ch2/m).
+    The base degrees are (c1, ch2) = (rk(u), -deg(u)) * w for the
+    canonical class u = ``canonical_u_choice(r, a)``, so m divides both.
+    twist is the unique integer h with h*r - c1/m in [0, r-1], and h >= 1
+    since rk(u) >= 1; the quotient class is h*(r, a) - (c1/m, ch2/m).
     dim equals w/m for every component, since chi((r, a), u) = 1 times
     w/m, and ``wall_components`` checks it.  stab_order is
     ``torsion_order(dim)`` = |E[dim]| = dim^2.  supported is False when the

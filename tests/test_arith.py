@@ -177,36 +177,22 @@ class TestIsPrime:
 
 
 class TestInvariantQuery:
-    def test_default_u_choice_for_a_one(self):
-        q = InvariantQuery(r=2, d=1, a=1, w=3, g=2)
-        assert q.u_choice == ChernClass(1, 0)
-
     def test_default_u_choice_is_canonical(self):
+        # the keyword is input validation: None or the canonical class, which
+        # is not stored; base_degrees solves with that class
         for r, a in ((3, 2), (5, 2), (5, 3), (5, 4), (7, 3), (9, 4)):
+            u = canonical_u_choice(r, a)
             q = InvariantQuery(r=r, d=1, a=a, w=4, g=2)
-            assert q.u_choice == canonical_u_choice(r, a)
-
-    def test_rejects_bad_pairing(self):
-        with pytest.raises(ValueError, match="pair to 1"):
-            InvariantQuery(r=2, d=1, a=1, w=3, g=2, u_choice=ChernClass(0, 1))
-
-    def test_rejects_non_coprime(self):
-        # chi = r*deg(u) + a*rk(u) = 1 forces gcd(r, a) = 1, so the pairing
-        # check rejects every non-coprime (r, a) that comes with a u_choice
-        with pytest.raises(ValueError, match="pair to 1"):
-            InvariantQuery(r=4, d=1, a=2, w=1, g=2, u_choice=ChernClass(1, 0))
-        # a = 0 lies in [0, r), so it is the pairing check that rejects it
-        with pytest.raises(ValueError, match="pair to 1"):
-            InvariantQuery(r=2, d=1, a=0, w=3, g=2, u_choice=ChernClass(1, 0))
-
-    def test_every_non_coprime_u_choice_fails_the_pairing(self):
-        # chi((r, a), u) is a multiple of gcd(r, a), so no u pairs to 1
-        for r in range(2, 10):
-            for a in (a for a in range(r) if math.gcd(r, a) != 1):
-                for rank in range(-r, r + 1):
-                    for deg in range(-r, r + 1):
-                        with pytest.raises(ValueError, match="pair to 1"):
-                            InvariantQuery(r=r, d=1, a=a, w=1, g=2, u_choice=ChernClass(rank, deg))
+            assert InvariantQuery(r=r, d=1, a=a, w=4, g=2, u_choice=u) == q
+            assert q.base_degrees() == solve_base_degrees(r, a, 4, u)
+            # the shifted class u - (r, -a) pairs to 1 as well, but is refused
+            shifted = ChernClass(u.rank - r, u.deg + a)
+            message = (
+                rf"^u_choice must be None or canonical_u_choice\({r}, {a}\) = "
+                rf"ChernClass\(rank={u.rank}, deg={u.deg}\), got ChernClass\(rank={shifted.rank}, deg={shifted.deg}\)$"
+            )
+            with pytest.raises(ValueError, match=message):
+                InvariantQuery(r=r, d=1, a=a, w=4, g=2, u_choice=shifted)
 
     def test_non_coprime_without_u_choice_fails_in_the_default(self):
         # with no u_choice, canonical_u_choice refuses the pair first
@@ -243,8 +229,9 @@ class TestRecordTypes:
     def test_keyword_construction(self):
         assert ChernClass(rank=2, deg=1).rank == 2
         assert BaseDegrees(c1=3, ch2=0).ch2 == 0
-        q = InvariantQuery(r=3, d=1, a=2, w=4, g=2, u_choice=ChernClass(rank=2, deg=-1))
-        assert (q.r, q.d, q.a, q.w, q.g, q.u_choice) == (3, 1, 2, 4, 2, ChernClass(2, -1))
+        q = InvariantQuery(r=3, d=1, a=2, w=4, g=2)
+        assert (q.r, q.d, q.a, q.w, q.g) == (3, 1, 2, 4, 2)
+        assert InvariantQuery._fields == ("r", "d", "a", "w", "g")
 
     @pytest.mark.parametrize(
         "record, field",
@@ -262,26 +249,24 @@ class TestRecordTypes:
         with pytest.raises(ValueError, match="rank must be >= 2, got 1"):
             query._replace(r=1)
         with pytest.raises(ValueError, match="rank must be >= 2, got 1"):
-            InvariantQuery._make((1, 0, 1, 3, 2, None))
-        with pytest.raises(ValueError, match="pair to 1"):
-            query._replace(u_choice=ChernClass(0, 1))
+            InvariantQuery._make((1, 0, 1, 3, 2))
+        # u_choice is a keyword of the constructor, not a field
+        with pytest.raises(ValueError, match=r"^Got unexpected field names: \['u_choice'\]$"):
+            query._replace(u_choice=ChernClass(1, 0))
         moved = query._replace(w=5)
         assert type(moved) is InvariantQuery
         assert moved == InvariantQuery(r=2, d=1, a=1, w=5, g=2)
-        # _make fills in the canonical u_choice as the constructor does
-        assert InvariantQuery._make((2, 1, 1, 3, 2, None)) == query
+        assert InvariantQuery._make((2, 1, 1, 3, 2)) == query
 
     def test_replace_and_make_check_the_size_bound(self):
         query = InvariantQuery(r=2, d=1, a=1, w=3, g=2)
         with pytest.raises(ValueError, match="quasimap degree must be <= 1000000000000"):
             query._replace(w=10**12 + 1)
         with pytest.raises(ValueError, match="rank must be <= 1000000000000"):
-            InvariantQuery._make((10**12 + 1, 0, 1, 0, 2, None))
+            InvariantQuery._make((10**12 + 1, 0, 1, 0, 2))
 
     def test_repr(self):
-        assert repr(InvariantQuery(r=2, d=1, a=1, w=3, g=2)) == (
-            "InvariantQuery(r=2, d=1, a=1, w=3, g=2, u_choice=ChernClass(rank=1, deg=0))"
-        )
+        assert repr(InvariantQuery(r=2, d=1, a=1, w=3, g=2)) == "InvariantQuery(r=2, d=1, a=1, w=3, g=2)"
 
     def test_equal_to_a_plain_tuple(self):
         # documented API: a record is the tuple of its fields

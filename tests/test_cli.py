@@ -181,7 +181,7 @@ class TestExitCodes:
         def fake_closed(query, strict=True):
             return InvariantResult(Fraction(999), (), ROUTE_CLOSED, False)
 
-        monkeypatch.setattr(cli, "qm_elliptic_closed", fake_closed)
+        monkeypatch.setattr(invariants, "qm_elliptic_closed", fake_closed)
         argv = ["invariant", "-r", "2", "-d", "1", "-a", "1", "-w", "3", "-g", "2", "--route", "both"]
         assert run(capsys, *argv) == (
             2,

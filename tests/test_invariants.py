@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
+import qminv.invariants as invariants
 from qminv.arith import (
     InvariantQuery,
-    canonical_u_choice,
     divisors,
     sigma_minus_one,
 )
@@ -18,6 +18,7 @@ from qminv.invariants import (
     UnsupportedQueryError,
     degree_congruent,
     qm_degree_zero,
+    qm_elliptic,
     qm_elliptic_closed,
     qm_elliptic_oracle,
     qm_moduli,
@@ -136,6 +137,15 @@ class TestModuliSide:
         with pytest.raises(UnsupportedQueryError, match="the rank 9 is not prime"):
             qm_moduli(query)
 
+    def test_one_dispatch_reads_the_route_functions_when_called(self, monkeypatch):
+        # qm_elliptic, and qm_moduli through it, look the route function up
+        # at each call, so a rebinding (a tracer's, a test's) is seen
+        fake = InvariantResult(F(7), ((1, F(7)),), ROUTE_ORACLE, False)
+        monkeypatch.setattr(invariants, "qm_elliptic_oracle", lambda query, strict=True: fake)
+        assert qm_elliptic(q2(1, 3), route=ROUTE_ORACLE) is fake
+        assert qm_moduli(q2(1, 3), route=ROUTE_ORACLE) == InvariantResult(F(112), ((1, F(112)),), ROUTE_ORACLE, False)
+        assert qm_elliptic(q2(1, 3)) == qm_elliptic_closed(q2(1, 3))
+
 
 class TestConstantMap:
     @pytest.mark.parametrize(
@@ -236,12 +246,11 @@ class TestConjecturalFormula:
         assert result.value_t == 0
 
     def test_rank_five_flagged(self):
-        u = canonical_u_choice(5, 2)
-        incompatible = InvariantQuery(r=5, d=1, a=2, w=4, g=2, u_choice=u)
+        incompatible = InvariantQuery(r=5, d=1, a=2, w=4, g=2)
         result = qm_moduli(incompatible, strict=False)
         assert result.value_t == 0
         assert result.conjectural
-        compatible = InvariantQuery(r=5, d=2, a=2, w=4, g=2, u_choice=u)
+        compatible = InvariantQuery(r=5, d=2, a=2, w=4, g=2)
         result = qm_moduli(compatible, strict=False)
         assert result.value_t == 2 * F(5) ** 4 * sigma_minus_one(4)
         assert result.conjectural
@@ -265,6 +274,7 @@ class TestInputChecks:
             (lambda: normal_bundle_inverse_expansion(1, -1), ValueError, "dimension must be >= 0"),
             # order 1 of the even identity has no moduli-side term to reject g
             (lambda: series_identity_even(1, 1), ValueError, "genus must be >= 2, got 1"),
+            (lambda: qm_elliptic(q2(1, 3), route="x"), ValueError, "^unknown route 'x'$"),
         ],
     )
     def test_rejected(self, call, error, message):

@@ -9,13 +9,14 @@ from fractions import Fraction
 import pytest
 
 import qminv.cli as cli
-from qminv.arith import ChernClass, InvariantQuery, canonical_u_choice, sigma_minus_one
+from qminv.arith import InvariantQuery, sigma_minus_one
 from qminv.exactalg import series_log_product
 from qminv.invariants import (
     ROUTE_CLOSED,
     ROUTE_ORACLE,
     UnsupportedQueryError,
     degree_congruent,
+    qm_elliptic,
     qm_elliptic_closed,
     qm_elliptic_oracle,
     qm_moduli,
@@ -33,15 +34,12 @@ assume = hypothesis.assume
 def queries(draw):
     r = draw(st.integers(2, 7))
     a = draw(st.sampled_from([a for a in range(1, r) if math.gcd(r, a) == 1]))
-    base = canonical_u_choice(r, a)
-    s = draw(st.integers(-3, 3))
     return InvariantQuery(
         r=r,
         d=draw(st.integers(1, 200)),
         a=a,
         w=draw(st.integers(1, 200)),
         g=draw(st.integers(2, 5)),
-        u_choice=ChernClass(base.rank + r * s, base.deg - a * s),
     )
 
 
@@ -80,7 +78,7 @@ def test_strict_oracle_raises_iff_closed_form_raises(query, strict):
 @property_settings
 @given(queries())
 @example(InvariantQuery(r=3, d=0, a=1, w=81, g=3))
-@example(InvariantQuery(r=3, d=1, a=1, w=133, g=2, u_choice=ChernClass(7, -2)))
+@example(InvariantQuery(r=3, d=1, a=1, w=133, g=2))
 @example(InvariantQuery(r=5, d=0, a=1, w=125, g=2))
 @example(InvariantQuery(r=7, d=0, a=1, w=49, g=4))
 @example(InvariantQuery(r=7, d=1, a=1, w=29, g=5))
@@ -131,9 +129,8 @@ def test_off_congruence_is_zero_on_both_routes(query):
 @example(COMPOSITE, ROUTE_CLOSED, True)
 @example(COMPOSITE, ROUTE_ORACLE, False)
 def test_moduli_side_is_r_to_the_2g_times_elliptic(query, route, strict):
-    elliptic_route = qm_elliptic_closed if route == ROUTE_CLOSED else qm_elliptic_oracle
     try:
-        elliptic = elliptic_route(query, strict=strict)
+        elliptic = qm_elliptic(query, route=route, strict=strict)
     except UnsupportedQueryError as exc:
         with pytest.raises(UnsupportedQueryError, match=str(exc)):
             qm_moduli(query, route=route, strict=strict)

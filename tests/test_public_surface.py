@@ -12,6 +12,13 @@ def test_every_exported_name_resolves():
     assert len(set(qminv.__all__)) == len(qminv.__all__)
 
 
+def test_exported_name_count():
+    # 35 names since qm_elliptic, the one route dispatch, joined; a name
+    # joins or leaves the API only on purpose
+    assert len(qminv.__all__) == 35
+    assert "qm_elliptic" in qminv.__all__
+
+
 def test_star_import():
     namespace = {}
     exec("from qminv import *", namespace)

@@ -8,7 +8,7 @@ from math import ceil, comb, gcd
 import pytest
 
 import qminv.quotloc as quotloc
-from qminv.arith import ChernClass, InvariantQuery, canonical_u_choice, torsion_order
+from qminv.arith import ChernClass, InvariantQuery, canonical_u_choice, divisors, solve_base_degrees, torsion_order
 from qminv.exactalg import EquivCoeff, laurent_residue
 from qminv.invariants import UnsupportedQueryError, qm_elliptic_oracle
 from qminv.quotloc import (
@@ -68,7 +68,7 @@ class TestStabilizerOrder:
     def test_unsupported_rank_strict(self):
         # r=5, a=2, d=3, w=1: the only component is u = (2, 1), outside
         # {0, 4}; strict mode rejects the query, not the component
-        query = InvariantQuery(r=5, d=3, a=2, w=1, g=2, u_choice=canonical_u_choice(5, 2))
+        query = InvariantQuery(r=5, d=3, a=2, w=1, g=2)
         [component] = wall_components(query)
         assert component.quotient_class == ChernClass(2, 1) and not component.supported
         with pytest.raises(UnsupportedQueryError, match="outside \\{0, 2\\} mod 5"):
@@ -237,20 +237,38 @@ class TestWallComponents:
         twists = set()
         for r in (2, 3, 4, 5):
             for a in (a for a in range(1, r) if gcd(r, a) == 1):
+                for d, w in itertools.product((0, 1), range(1, 17)):
+                    query = InvariantQuery(r=r, d=d, a=a, w=w, g=2)
+                    bd = query.base_degrees()
+                    for c in wall_components(query):
+                        x1 = F(bd.c1, c.divisor)
+                        x2 = F(bd.ch2, c.divisor)
+                        h = ceil(x1 / r)
+                        assert 0 <= h * r - x1 < r
+                        assert c.twist == h
+                        assert c.quotient_class == ChernClass(h * r - x1, h * a - x2)
+                        twists.add(h)
+        # x1 = rk(u) * w/m >= 1 for the canonical class u
+        assert min(twists) == 1 < max(twists)
+
+    def test_shifted_normalisations_give_the_same_components(self):
+        # u + s*(r, -a) pairs to 1 against (r, a) as u does; through the
+        # component arithmetic it moves the twist, never a quotient class
+        twists = set()
+        for r in (2, 3, 4, 5):
+            for a in (a for a in range(1, r) if gcd(r, a) == 1):
                 base = canonical_u_choice(r, a)
-                for s in (-1, 0, 1):
-                    u = ChernClass(base.rank + r * s, base.deg - a * s)
-                    for d, w in itertools.product((0, 1), range(1, 17)):
-                        query = InvariantQuery(r=r, d=d, a=a, w=w, g=2, u_choice=u)
-                        bd = query.base_degrees()
-                        for c in wall_components(query):
-                            x1 = F(bd.c1, c.divisor)
-                            x2 = F(bd.ch2, c.divisor)
-                            h = ceil(x1 / r)
-                            assert 0 <= h * r - x1 < r
-                            assert c.twist == h
-                            assert c.quotient_class == ChernClass(h * r - x1, h * a - x2)
-                            twists.add(h)
+                for s, d, w in itertools.product((-1, 0, 1), (0, 1), range(1, 17)):
+                    bd = solve_base_degrees(r, a, w, ChernClass(base.rank + r * s, base.deg - a * s))
+                    shifted = []
+                    for m in divisors(w):
+                        x1, x2 = F(bd.c1, m), F(bd.ch2, m)
+                        h = ceil(x1 / r)
+                        u_m = ChernClass(h * r - x1, h * a - x2)
+                        shifted.append((u_m, quot_dimension(r, a, u_m)))
+                        twists.add(h)
+                    canonical = wall_components(InvariantQuery(r=r, d=d, a=a, w=w, g=2))
+                    assert shifted == [(c.quotient_class, c.dim) for c in canonical]
         assert min(twists) < 0 < max(twists)
 
 
