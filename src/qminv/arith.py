@@ -11,6 +11,7 @@ subgroup orders E[n] = n^2.
 from __future__ import annotations
 
 import math
+import operator
 from collections import namedtuple
 from fractions import Fraction
 
@@ -126,13 +127,15 @@ class InvariantQuery(namedtuple("InvariantQuery", "r d a w g")):
     w      quasimap degree, in [0, 10**12]
     g      genus of the base curve (>= 2)
 
-    ``base_degrees`` normalises by ``canonical_u_choice(r, a)``, (1, 0) when
-    a = 1.  The keyword ``u_choice`` is not stored: it is None or that class.
+    Every field must be an integer (``operator.index``) and is stored as
+    an ``int``.  The keyword ``u_choice`` is not stored: it is None or
+    ``canonical_u_choice(r, a)``.
     """
 
     __slots__ = ()
 
     def __new__(cls, r: int, d: int, a: int, w: int, g: int, u_choice: ChernClass | None = None):
+        r, d, a, w, g = map(operator.index, (r, d, a, w, g))
         if r < 2:
             raise ValueError(f"rank must be >= 2, got {r}")
         if r > _MAX_SIZE:
@@ -152,6 +155,3 @@ class InvariantQuery(namedtuple("InvariantQuery", "r d a w g")):
 
     # namedtuple's own _make, behind _replace, would skip the checks above
     _make = classmethod(lambda cls, it: cls(*it))
-
-    def base_degrees(self) -> BaseDegrees:
-        return solve_base_degrees(self.r, self.a, self.w, canonical_u_choice(self.r, self.a))

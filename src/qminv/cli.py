@@ -42,8 +42,6 @@ from .invariants import (
     UnsupportedQueryError,
     qm_degree_zero,
     qm_elliptic,
-    qm_elliptic_closed,
-    qm_elliptic_oracle,
     qm_moduli,
     series_identity_even,
     series_identity_odd,
@@ -243,8 +241,8 @@ def _sweep(args):
     for g in genera:
         for w in ws:
             query = InvariantQuery(r=args.rank, d=args.deg_d, a=args.deg_a, w=w, g=g)
-            closed = qm_elliptic_closed(query, strict=strict)
-            oracle = qm_elliptic_oracle(query, strict=strict)
+            closed = qm_elliptic(query, route=ROUTE_CLOSED, strict=strict)
+            oracle = qm_elliptic(query, route=ROUTE_ORACLE, strict=strict)
             point_agree = _agree(closed, oracle)
             total += 1
             agree += point_agree

@@ -110,15 +110,13 @@ def qm_elliptic_oracle(query: InvariantQuery, strict: bool = True) -> InvariantR
     The pure chamber at large stability is empty for w >= 1, so the
     invariant telescopes into the sum of the wall components' residue
     degrees; the orientation is fixed so that (r,a)=(2,1), d=1, w=1, g=2
-    gives +2.  The moduli space is empty, and the invariant vanishes
-    before any component is reached, when the base degree c1 (from
-    ``query.base_degrees()``, not from ``degree_congruent``) is not d mod
-    r.  ``strict`` has the closed form's meaning, and a proven query with
-    an unsupported component raises ``RuntimeError``.
+    gives +2.  Emptiness is decided by ``wall_components``, from the base
+    degree c1 and not from ``degree_congruent``: an empty moduli space has
+    no component, and the invariant is the empty sum 0.  ``strict`` has
+    the closed form's meaning, and a proven query with an unsupported
+    component raises ``RuntimeError``.
     """
     conjectural = _admit(query, strict)
-    if query.base_degrees().c1 % query.r != query.d % query.r:
-        return InvariantResult(Fraction(0), (), ROUTE_ORACLE, conjectural)
     components = wall_components(query)
     if not conjectural and not all(c.supported for c in components):
         raise RuntimeError(f"the proven query r={query.r}, w={query.w} has an unsupported wall component")

@@ -24,7 +24,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .arith import ChernClass, InvariantQuery, divisors, torsion_order
+from .arith import ChernClass, InvariantQuery, canonical_u_choice, divisors, solve_base_degrees, torsion_order
 from .exactalg import EquivCoeff, laurent_residue
 
 
@@ -102,7 +102,8 @@ class WallComponent(namedtuple("WallComponent", "divisor twist quotient_class di
     """One divisor's Quot-scheme component of the wall locus.
 
     The base degrees are (c1, ch2) = (rk(u), -deg(u)) * w for the
-    canonical class u = ``canonical_u_choice(r, a)``, so m divides both.
+    canonical class u = ``canonical_u_choice(r, a)``, so m divides both;
+    no component exists when c1 is not d mod r (the space is empty).
     twist is the unique integer h with h*r - c1/m in [0, r-1], and h >= 1
     since rk(u) >= 1; the quotient class is h*(r, a) - (c1/m, ch2/m).
     dim equals w/m for every component, since chi((r, a), u) = 1 times
@@ -116,11 +117,13 @@ class WallComponent(namedtuple("WallComponent", "divisor twist quotient_class di
 
 
 def wall_components(query: InvariantQuery) -> list[WallComponent]:
-    """Enumerate the wall components of a degree-w >= 1 query, one per m | w."""
+    """Enumerate the wall components of a degree-w >= 1 query: one per m | w, none if c1 != d mod r."""
     if query.w < 1:
         raise ValueError("wall components exist only for quasimap degree w >= 1")
-    bd = query.base_degrees()
     r, a = query.r, query.a
+    bd = solve_base_degrees(r, a, query.w, canonical_u_choice(r, a))
+    if bd.c1 % r != query.d % r:
+        return []
     components = []
     for m in divisors(query.w):
         x1, x2 = bd.c1 // m, bd.ch2 // m

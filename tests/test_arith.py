@@ -179,12 +179,12 @@ class TestIsPrime:
 class TestInvariantQuery:
     def test_default_u_choice_is_canonical(self):
         # the keyword is input validation: None or the canonical class, which
-        # is not stored; base_degrees solves with that class
+        # is not stored; the base degrees are solved with that class
         for r, a in ((3, 2), (5, 2), (5, 3), (5, 4), (7, 3), (9, 4)):
             u = canonical_u_choice(r, a)
             q = InvariantQuery(r=r, d=1, a=a, w=4, g=2)
             assert InvariantQuery(r=r, d=1, a=a, w=4, g=2, u_choice=u) == q
-            assert q.base_degrees() == solve_base_degrees(r, a, 4, u)
+            assert solve_base_degrees(r, a, 4, u) == BaseDegrees(4 * u.rank, -4 * u.deg)
             # the shifted class u - (r, -a) pairs to 1 as well, but is refused
             shifted = ChernClass(u.rank - r, u.deg + a)
             message = (
@@ -218,9 +218,29 @@ class TestInvariantQuery:
             with pytest.raises(ValueError, match="lie in"):
                 InvariantQuery(r=2, d=1, a=a, w=3, g=2)
 
+    @pytest.mark.parametrize("field", ["r", "d", "a", "w", "g"])
+    @pytest.mark.parametrize("value", [2.5, 3.0, F(5, 2), F(3)], ids=["float", "integral-float", "fraction", "integral-fraction"])
+    def test_rejects_non_integer_fields(self, field, value):
+        # 2.5 or 5/2 would pass every value check (g = 2.5 is >= 2), so the
+        # type is checked first
+        fields = dict(r=5, d=3, a=2, w=1, g=2)
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            InvariantQuery(**{**fields, field: value})
+        with pytest.raises(TypeError, match="cannot be interpreted as an integer"):
+            InvariantQuery(**fields)._replace(**{field: value})
+
+    def test_integer_like_fields_are_stored_as_int(self):
+        class Three:
+            def __index__(self):
+                return 3
+
+        query = InvariantQuery(r=Three(), d=True, a=True, w=Three(), g=Three())
+        assert query == (3, 1, 1, 3, 3)
+        assert [type(field) for field in query] == [int] * 5
+
     def test_base_degrees_shortcut(self):
-        q = InvariantQuery(r=2, d=1, a=1, w=6, g=2)
-        assert q.base_degrees() == BaseDegrees(6, 0)
+        # the canonical class at a = 1 is (1, 0), so (c1, ch2) = (w, 0)
+        assert solve_base_degrees(2, 1, 6, canonical_u_choice(2, 1)) == BaseDegrees(6, 0)
 
 
 class TestRecordTypes:

@@ -22,7 +22,7 @@ import qminv.invariants as invariants
 import qminv.quotloc as quotloc
 import qminv.selfcheck as selfcheck
 from qminv.arith import InvariantQuery
-from qminv.exactalg import EquivCoeff
+from qminv.exactalg import EquivCoeff, QSeries
 from qminv.invariants import InvariantResult, ROUTE_CLOSED, qm_moduli
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -211,6 +211,9 @@ class TestExitCodes:
             },
             "identity_checks": [{"name": "route_agreement", "pass": False}],
         }) + "\n"
+        # sweep reaches the routes through the same map, so it sees the patch too
+        code, out, _ = run(capsys, "sweep", "-r", "2", "-d", "1", "-a", "1", "--w-list", "3", "--g", "2")
+        assert (code, out) == (2, "g=2 w=3 closed=999 oracle=8/3 DISAGREE\n0/1 agree\n")
 
     def test_permissive_moduli_side_composite_rank_is_conjectural(self, capsys):
         # one gate on both sides: strict mode refuses the composite rank with
@@ -654,6 +657,14 @@ class TestSelfcheckCommand:
         assert lines[1] == "FAIL _check_divides_by_zero  ZeroDivisionError: integer division or modulo by zero"
         assert lines[2].startswith("ok ")
         assert lines[3] == "2/3 checks passed"
+
+    @pytest.mark.parametrize("head, tail", [(2, 0), (1, 1)], ids=["doubled", "filled"])
+    def test_euler_product_check_has_an_independent_side(self, monkeypatch, head, tail):
+        # exp and the factor product both start from QSeries.one, so a wrong
+        # one scales both alike; the pentagonal-number series does not use it
+        monkeypatch.setattr(QSeries, "one", classmethod(lambda cls, n: cls((Fraction(head),) + (Fraction(tail),) * n)))
+        name, ok, _ = selfcheck._check_exp_euler_product()
+        assert (name, ok) == ("exp of the eta-log recovers the Euler product", False)
 
 
 class TestColdStart:

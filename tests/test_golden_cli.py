@@ -155,6 +155,8 @@ CASES: dict[str, list[str]] = {
          "--out", "OUT"]),
     # the default --order, which no other case reaches
     "series_a_default_order": ["series", "--identity", "A", "--genus", "2"],
+    # the least order: one coefficient past the constant term
+    "series_b_order_one": ["series", "--identity", "B", "--genus", "2", "--order", "1"],
     "series_exit4_order_zero": ["series", "--identity", "A", "--genus", "2", "--order", "0"],
     "series_exit4_order_nonascii": ["series", "--identity", "A", "--genus", "2", "--order", "\u0663"],
     # 2**62 coefficients fail Python's own length check before any allocation
@@ -176,6 +178,9 @@ CASES: dict[str, list[str]] = {
     "sweep_permissive_json": (
         ["sweep", "-r", "3", "-d", "2", "-a", "1", "--w-list", "2,5", "--g", "2", "--permissive",
          "--format", "json"]),
+    # a one-genus range: the grid's corner query reads the range's only genus
+    "sweep_one_genus_range_table": (
+        ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", "3", "--g", "2..2"]),
     "sweep_out_file": (
         ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", "3", "--g", "2", "--out", "OUT"]),
     "sweep_empty_w_max": ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", "0", "--g", "2"],

@@ -233,14 +233,18 @@ class TestWallComponents:
 
     def test_twist_is_the_least_h_with_hr_at_least_x1(self):
         # the oracle's value ignores h, so the twist is pinned here: h is
-        # the least integer with h*r >= x1, where (x1, x2) = (c1, ch2)/m
+        # the least integer with h*r >= x1, where (x1, x2) = (c1, ch2)/m;
+        # d = c1 mod r is the congruent degree, so no query is empty
         twists = set()
         for r in (2, 3, 4, 5):
             for a in (a for a in range(1, r) if gcd(r, a) == 1):
-                for d, w in itertools.product((0, 1), range(1, 17)):
-                    query = InvariantQuery(r=r, d=d, a=a, w=w, g=2)
-                    bd = query.base_degrees()
-                    for c in wall_components(query):
+                u = canonical_u_choice(r, a)
+                for w in range(1, 17):
+                    bd = solve_base_degrees(r, a, w, u)
+                    query = InvariantQuery(r=r, d=bd.c1 % r, a=a, w=w, g=2)
+                    comps = wall_components(query)
+                    assert comps
+                    for c in comps:
                         x1 = F(bd.c1, c.divisor)
                         x2 = F(bd.ch2, c.divisor)
                         h = ceil(x1 / r)
@@ -258,7 +262,8 @@ class TestWallComponents:
         for r in (2, 3, 4, 5):
             for a in (a for a in range(1, r) if gcd(r, a) == 1):
                 base = canonical_u_choice(r, a)
-                for s, d, w in itertools.product((-1, 0, 1), (0, 1), range(1, 17)):
+                for s, w in itertools.product((-1, 0, 1), range(1, 17)):
+                    d = base.rank * w % r  # the congruent degree: the space is not empty
                     bd = solve_base_degrees(r, a, w, ChernClass(base.rank + r * s, base.deg - a * s))
                     shifted = []
                     for m in divisors(w):
@@ -270,6 +275,31 @@ class TestWallComponents:
                     canonical = wall_components(InvariantQuery(r=r, d=d, a=a, w=w, g=2))
                     assert shifted == [(c.quotient_class, c.dim) for c in canonical]
         assert min(twists) < 0 < max(twists)
+
+    def test_empty_exactly_off_the_congruence(self):
+        # wall_components alone decides emptiness: no component when
+        # c1 = rk(u)*w is not d mod r (equivalently w != d*a mod r), and
+        # otherwise one per m | w, each written out from its formulas
+        for r in (2, 3, 4, 5):
+            for a in (a for a in range(1, r) if gcd(r, a) == 1):
+                u = canonical_u_choice(r, a)
+                for d, w in itertools.product(range(r), range(1, 31)):
+                    comps = wall_components(InvariantQuery(r=r, d=d, a=a, w=w, g=2))
+                    c1, ch2 = u.rank * w, -u.deg * w
+                    empty = c1 % r != d
+                    assert empty == ((w - d * a) % r != 0)
+                    if empty:
+                        assert comps == []
+                        continue
+                    expected = []
+                    for m in divisors(w):
+                        x1, x2 = c1 // m, ch2 // m
+                        h = -(-x1 // r)
+                        quotient = ChernClass(h * r - x1, h * a - x2)
+                        dim = w // m
+                        euler = r * quotient.deg if quotient.rank == 0 else dim
+                        expected.append((m, h, quotient, dim, dim * dim, euler, quotient.rank in (0, r - 1)))
+                    assert [tuple(c) for c in comps] == expected
 
 
 class TestComponentResidueDegree:
