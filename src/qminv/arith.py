@@ -148,9 +148,13 @@ class InvariantQuery(namedtuple("InvariantQuery", "r d a w g")):
             raise ValueError(f"quasimap degree must be <= {_MAX_SIZE}, got {w}")
         if not 0 <= a < r:
             raise ValueError(f"a must lie in [0, {r}), got {a}")
-        canonical = canonical_u_choice(r, a)  # rejects a non-coprime a
-        if u_choice not in (None, canonical):
-            raise ValueError(f"u_choice must be None or canonical_u_choice({r}, {a}) = {canonical!r}, got {u_choice!r}")
+        if u_choice is None:
+            if math.gcd(r, a) != 1:
+                raise ValueError(f"no unit normalisation: gcd({r},{a}) != 1")
+        else:
+            canonical = canonical_u_choice(r, a)  # rejects a non-coprime a
+            if u_choice != canonical:
+                raise ValueError(f"u_choice must be None or canonical_u_choice({r}, {a}) = {canonical!r}, got {u_choice!r}")
         return tuple.__new__(cls, (r, d, a, w, g))
 
     # namedtuple's own _make, behind _replace, would skip the checks above

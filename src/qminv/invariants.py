@@ -14,9 +14,11 @@ default) and otherwise evaluate and flag the result conjectural.
 All reported values are reduced, i.e. the coefficient of the equivariant
 parameter t (the CLI's ``--raw`` prints that coefficient times t).  The
 moduli-side invariant carries the extra factor r^(2g) and doubles as the
-Vafa-Witten invariant of the product surface.  The series identities read
-one moduli-side value per coefficient: r^(2g) times the closed form's
-``value_t``, with no breakdown.
+Vafa-Witten invariant of the product surface.  The closed form's gate,
+value and breakdown read one scan of the divisors of w.  The series
+identities read one moduli-side value per coefficient from the same
+kernel as ``qm_elliptic_closed``: r^(2g) times its ``value_t``, with one
+divisor scan and no breakdown.
 """
 
 from __future__ import annotations
@@ -53,54 +55,87 @@ def degree_congruent(query: InvariantQuery) -> bool:
     return (query.w - query.d * query.a) % query.r == 0
 
 
-def unproven_reason(query: InvariantQuery) -> str | None:
-    """Why an elliptic-side query with w >= 1 is outside the proven set.
+def _rank_reason(query: InvariantQuery) -> str | None:
+    """Why the rank puts a query outside the proven set: it is not prime."""
+    if not is_prime(query.r):
+        return f"no proven closed form for r={query.r}, w={query.w}: the rank {query.r} is not prime"
+    return None
 
-    None when the query is proven: r is prime and every divisor of w is 0
-    or a mod r.  Every route, on both sides, shares this one decision; it
-    ignores the congruence w = d*a mod r, so the 0 of an unproven query
-    off the congruence stays conjectural.
-    """
-    r, w = query.r, query.w
-    if not is_prime(r):
-        return f"no proven closed form for r={r}, w={w}: the rank {r} is not prime"
-    if all(m % r in (0, query.a) for m in divisors(w)):
+
+def _divisor_reason(query: InvariantQuery, divs: list[int]) -> str | None:
+    """Why a prime-rank query is outside the proven set, read from ``divs``, the divisors of w."""
+    r = query.r
+    if all(m % r in (0, query.a) for m in divs):
         return None
     return (
-        f"no proven closed form for r={r}, w={w}: some divisor of w "
+        f"no proven closed form for r={r}, w={query.w}: some divisor of w "
         f"lies outside {{0, {query.a}}} mod {r}"
     )
 
 
-def _admit(query: InvariantQuery, strict: bool) -> bool:
-    """Every w >= 1 route's admission gate; returns the conjectural flag.
+def unproven_reason(query: InvariantQuery) -> str | None:
+    """Why an elliptic-side query with w >= 1 is outside the proven set.
 
-    w < 1 is invalid; outside the proven set (``unproven_reason``) a query
-    is unsupported when ``strict`` and conjectural otherwise.
+    None when the query is proven: r is prime and every divisor of w is 0
+    or a mod r.  A composite rank is refused before the divisors of w are
+    scanned.  Every route, on both sides, shares this one decision; it
+    ignores the congruence w = d*a mod r, so the 0 of an unproven query
+    off the congruence stays conjectural.
     """
+    return _rank_reason(query) or _divisor_reason(query, divisors(query.w))
+
+
+def _require_positive_degree(query: InvariantQuery) -> None:
+    """Every w >= 1 route refuses w < 1 before its gate."""
     if query.w < 1:
         raise ValueError("a positive-degree route needs w >= 1; w = 0 is the elliptic-side constant-map count")
-    reason = unproven_reason(query)
+
+
+def _admit(reason: str | None, strict: bool) -> bool:
+    """Every w >= 1 route's proven-set gate; returns the conjectural flag.
+
+    ``reason`` is the query's ``unproven_reason``: with one, the query is
+    unsupported when ``strict`` and conjectural otherwise.
+    """
     if strict and reason is not None:
         raise UnsupportedQueryError(reason)
     return reason is not None
 
 
+def _closed_form(query: InvariantQuery, strict: bool) -> tuple[Fraction, list[int], bool]:
+    """The closed form's value_t, the divisors it sums over and the conjectural flag.
+
+    The gate and the divisor sum read one scan of the divisors of w.  A
+    composite rank is refused before the scan, and off the congruence
+    w = d*a mod r the value is 0 over no divisor.
+    """
+    _require_positive_degree(query)
+    divs = None
+    reason = _rank_reason(query)
+    if reason is None:
+        divs = divisors(query.w)
+        reason = _divisor_reason(query, divs)
+    conjectural = _admit(reason, strict)
+    if not degree_congruent(query):
+        return Fraction(0), [], conjectural
+    if divs is None:  # a composite rank, evaluated in permissive mode
+        divs = divisors(query.w)
+    # sum_{m|w} 1/m = sum_{m|w} (w/m) / w = sigma_1(w) / w: one integer
+    # sum and a single Fraction.
+    return Fraction((2 * query.g - 2) * sum(divs), query.w), divs, conjectural
+
+
 def qm_elliptic_closed(query: InvariantQuery, strict: bool = True) -> InvariantResult:
     """Elliptic-side invariant by the divisor-sum formula.
 
-    (2g-2) * sum_{m|w} 1/m when w = d*a mod r, and 0 otherwise.  ``strict``
-    is the proven-set gate it shares with the oracle (``unproven_reason``).
+    (2g-2) * sum_{m|w} 1/m when w = d*a mod r, and 0 otherwise, with one
+    breakdown entry (m, (2g-2)/m) per divisor m of w.  ``strict`` is the
+    proven-set gate it shares with the oracle (``unproven_reason``).  Gate,
+    value and breakdown read one scan of the divisors of w.
     """
-    conjectural = _admit(query, strict)
-    if not degree_congruent(query):
-        return InvariantResult(Fraction(0), (), ROUTE_CLOSED, conjectural)
-    scale, w = 2 * query.g - 2, query.w
-    divs = divisors(w)
+    value, divs, conjectural = _closed_form(query, strict)
+    scale = 2 * query.g - 2
     breakdown = tuple((m, Fraction(scale, m)) for m in divs)
-    # sum_{m|w} 1/m = sum_{m|w} (w/m) / w = sigma_1(w) / w: one integer
-    # sum and a single Fraction.
-    value = Fraction(scale * sum(divs), w)
     return InvariantResult(value, breakdown, ROUTE_CLOSED, conjectural)
 
 
@@ -116,7 +151,8 @@ def qm_elliptic_oracle(query: InvariantQuery, strict: bool = True) -> InvariantR
     the closed form's meaning, and a proven query with an unsupported
     component raises ``RuntimeError``.
     """
-    conjectural = _admit(query, strict)
+    _require_positive_degree(query)
+    conjectural = _admit(unproven_reason(query), strict)
     components = wall_components(query)
     if not conjectural and not all(c.supported for c in components):
         raise RuntimeError(f"the proven query r={query.r}, w={query.w} has an unsupported wall component")
@@ -178,9 +214,11 @@ def _series_identity(g: int, order: int, d: int) -> SeriesIdentity:
     """Rank-2 moduli-side invariants of base degree d against the eta-log.
 
     The left side collects the w = d mod 2 coefficients (w >= 1), each the
-    moduli-side value 2^(2g) times the closed form's ``value_t``: one value
-    per coefficient, where ``qm_moduli`` would also scale a breakdown that
-    the identity never reads.  The right side is
+    moduli-side value 2^(2g) times the closed form's ``value_t``, read from
+    the closed form's own kernel: one divisor scan per coefficient, and no
+    breakdown, which the identity never reads.  It never comes from the
+    sigma sieve of ``series_log_product``, which builds the right side.
+    The right side is
     (2-2g) * 2^(2g-1) * (U(q) -+ U(-q)), with the difference for odd d and
     the sum for even d.
     """
@@ -189,8 +227,8 @@ def _series_identity(g: int, order: int, d: int) -> SeriesIdentity:
     factor = 2 ** (2 * g)
     lhs_coeffs = [Fraction(0)] * (order + 1)
     for w in range(2 - d, order + 1, 2):
-        query = InvariantQuery(r=2, d=d, a=1, w=w, g=g)
-        lhs_coeffs[w] = qm_elliptic_closed(query).value_t * factor
+        value, _, _ = _closed_form(InvariantQuery(r=2, d=d, a=1, w=w, g=g), strict=True)
+        lhs_coeffs[w] = value * factor
     lhs = QSeries(tuple(lhs_coeffs))
     u = series_log_product(order)
     flipped = u.negate_variable()

@@ -195,7 +195,8 @@ class TestInvariantQuery:
                 InvariantQuery(r=r, d=1, a=a, w=4, g=2, u_choice=shifted)
 
     def test_non_coprime_without_u_choice_fails_in_the_default(self):
-        # with no u_choice, canonical_u_choice refuses the pair first
+        # with no u_choice, the constructor's own gcd test refuses the pair,
+        # in canonical_u_choice's words
         for r, a in ((4, 2), (2, 0), (6, 3)):
             with pytest.raises(ValueError, match=rf"^no unit normalisation: gcd\({r},{a}\) != 1$"):
                 InvariantQuery(r=r, d=1, a=a, w=1, g=2)

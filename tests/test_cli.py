@@ -454,6 +454,15 @@ class TestSeriesCommand:
         assert code == 0
         assert json.loads(out)["order"] == 50
 
+    def test_left_side_can_disagree(self, capsys, monkeypatch):
+        # the closed form loses w from its divisors; the sigma sieve of the
+        # right side does not, so the identity fails
+        divisors = invariants.divisors
+        monkeypatch.setattr(invariants, "divisors", lambda w: divisors(w)[:-1])
+        code, out, err = run(capsys, "series", "--identity", "A", "--genus", "2", "--order", "9")
+        assert (code, err) == (2, "")
+        assert out.splitlines()[-1] == "verdict: FAIL"
+
     def test_invalid_order(self, capsys):
         for order in ("0", "-3"):
             result = run(

@@ -230,6 +230,47 @@ class TestSeriesIdentities:
         for w in range(1, order + 1, 2):
             assert check.lhs.coefficient(w) / prefactor == -2 * minus_u.coefficient(w)
 
+    def test_series_can_disagree(self, monkeypatch):
+        # the left side reads the closed form's divisors, the right side the
+        # sigma sieve: a closed form that loses w from its divisors of w
+        # must fail both identities
+        monkeypatch.setattr(invariants, "divisors", lambda w: divisors(w)[:-1])
+        assert not series_identity_odd(2, 9).equal
+        assert not series_identity_even(2, 10).equal
+
+
+class TestOneDivisorScan:
+    """The closed form's gate, value and breakdown read one scan of the divisors of w."""
+
+    @pytest.fixture
+    def scans(self, monkeypatch):
+        seen = []
+
+        def counted(w):
+            seen.append(w)
+            return divisors(w)
+
+        monkeypatch.setattr(invariants, "divisors", counted)
+        return seen
+
+    def test_closed_form_scans_once(self, scans):
+        result = qm_elliptic_closed(q2(1, 9))
+        assert scans == [9]
+        assert result == InvariantResult(F(26, 9), ((1, F(2)), (3, F(2, 3)), (9, F(2, 9))), "closed_form", False)
+
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_series_scans_once_per_coefficient(self, scans, d):
+        (series_identity_odd if d else series_identity_even)(3, 20)
+        assert scans == list(range(2 - d, 21, 2))
+
+    def test_composite_rank_is_refused_before_any_scan(self, scans):
+        query = InvariantQuery(r=4, d=1, a=1, w=5, g=2)
+        reason = "no proven closed form for r=4, w=5: the rank 4 is not prime"
+        with pytest.raises(UnsupportedQueryError, match=f"^{reason}$"):
+            qm_elliptic_closed(query)
+        assert invariants.unproven_reason(query) == reason
+        assert scans == []
+
 
 class TestConjecturalFormula:
     """The all-rank moduli-side formula is ``qm_moduli(q, strict=False)``."""
