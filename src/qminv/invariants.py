@@ -14,11 +14,12 @@ default) and otherwise evaluate and flag the result conjectural.
 All reported values are reduced, i.e. the coefficient of the equivariant
 parameter t (the CLI's ``--raw`` prints that coefficient times t).  The
 moduli-side invariant carries the extra factor r^(2g) and doubles as the
-Vafa-Witten invariant of the product surface.  The closed form's gate,
-value and breakdown read one scan of the divisors of w.  The series
+Vafa-Witten invariant of the product surface.  ``_gate`` is the home of
+the proven-set rule: every w >= 1 route calls it, and the closed form's
+value and breakdown read its one scan of the divisors of w.  The series
 identities read one moduli-side value per coefficient from the same
-kernel as ``qm_elliptic_closed``: r^(2g) times its ``value_t``, with one
-divisor scan and no breakdown.
+kernel as ``qm_elliptic_closed``: r^(2g) times its ``value_t``, with no
+breakdown.
 """
 
 from __future__ import annotations
@@ -55,71 +56,54 @@ def degree_congruent(query: InvariantQuery) -> bool:
     return (query.w - query.d * query.a) % query.r == 0
 
 
-def _rank_reason(query: InvariantQuery) -> str | None:
-    """Why the rank puts a query outside the proven set: it is not prime."""
-    if not is_prime(query.r):
-        return f"no proven closed form for r={query.r}, w={query.w}: the rank {query.r} is not prime"
-    return None
+def _gate(query: InvariantQuery, strict: bool) -> tuple[str | None, list[int] | None]:
+    """The proven-set rule every w >= 1 route shares: (reason, divisors of w).
 
-
-def _divisor_reason(query: InvariantQuery, divs: list[int]) -> str | None:
-    """Why a prime-rank query is outside the proven set, read from ``divs``, the divisors of w."""
-    r = query.r
-    if all(m % r in (0, query.a) for m in divs):
-        return None
-    return (
-        f"no proven closed form for r={r}, w={query.w}: some divisor of w "
-        f"lies outside {{0, {query.a}}} mod {r}"
-    )
+    w < 1 raises ``ValueError``.  The reason is None when the query is
+    proven: r is prime and every divisor of w is 0 or a mod r.  A
+    composite rank is refused before any scan (divs is then None);
+    otherwise divs is the one scan of the divisors of w the rule read.
+    With a reason, ``strict`` raises ``UnsupportedQueryError``.
+    """
+    if query.w < 1:
+        raise ValueError("a positive-degree route needs w >= 1; w = 0 is the elliptic-side constant-map count")
+    r, w, a = query.r, query.w, query.a
+    divs = reason = None
+    if not is_prime(r):
+        reason = f"no proven closed form for r={r}, w={w}: the rank {r} is not prime"
+    else:
+        divs = divisors(w)
+        if not all(m % r in (0, a) for m in divs):
+            reason = f"no proven closed form for r={r}, w={w}: some divisor of w lies outside {{0, {a}}} mod {r}"
+    if strict and reason is not None:
+        raise UnsupportedQueryError(reason)
+    return reason, divs
 
 
 def unproven_reason(query: InvariantQuery) -> str | None:
-    """Why an elliptic-side query with w >= 1 is outside the proven set.
+    """Why an elliptic-side query is outside the proven set, or None.
 
-    None when the query is proven: r is prime and every divisor of w is 0
-    or a mod r.  A composite rank is refused before the divisors of w are
-    scanned.  Every route, on both sides, shares this one decision; it
-    ignores the congruence w = d*a mod r, so the 0 of an unproven query
-    off the congruence stays conjectural.
+    The rule is ``_gate``'s, shared by every route on both sides: r is
+    prime and every divisor of w is 0 or a mod r.  w < 1 raises the
+    routes' ``ValueError`` for any rank.  The rule ignores the congruence
+    w = d*a mod r, so the 0 of an unproven query off the congruence stays
+    conjectural.
     """
-    return _rank_reason(query) or _divisor_reason(query, divisors(query.w))
-
-
-def _require_positive_degree(query: InvariantQuery) -> None:
-    """Every w >= 1 route refuses w < 1 before its gate."""
-    if query.w < 1:
-        raise ValueError("a positive-degree route needs w >= 1; w = 0 is the elliptic-side constant-map count")
-
-
-def _admit(reason: str | None, strict: bool) -> bool:
-    """Every w >= 1 route's proven-set gate; returns the conjectural flag.
-
-    ``reason`` is the query's ``unproven_reason``: with one, the query is
-    unsupported when ``strict`` and conjectural otherwise.
-    """
-    if strict and reason is not None:
-        raise UnsupportedQueryError(reason)
-    return reason is not None
+    return _gate(query, strict=False)[0]
 
 
 def _closed_form(query: InvariantQuery, strict: bool) -> tuple[Fraction, list[int], bool]:
     """The closed form's value_t, the divisors it sums over and the conjectural flag.
 
-    The gate and the divisor sum read one scan of the divisors of w.  A
-    composite rank is refused before the scan, and off the congruence
-    w = d*a mod r the value is 0 over no divisor.
+    The value reads ``_gate``'s scan; only a composite rank, evaluated in
+    permissive mode, scans again, and off the congruence w = d*a mod r
+    the value is 0 over no divisor.
     """
-    _require_positive_degree(query)
-    divs = None
-    reason = _rank_reason(query)
-    if reason is None:
-        divs = divisors(query.w)
-        reason = _divisor_reason(query, divs)
-    conjectural = _admit(reason, strict)
+    reason, divs = _gate(query, strict)
+    conjectural = reason is not None
     if not degree_congruent(query):
         return Fraction(0), [], conjectural
-    if divs is None:  # a composite rank, evaluated in permissive mode
-        divs = divisors(query.w)
+    divs = divs or divisors(query.w)
     # sum_{m|w} 1/m = sum_{m|w} (w/m) / w = sigma_1(w) / w: one integer
     # sum and a single Fraction.
     return Fraction((2 * query.g - 2) * sum(divs), query.w), divs, conjectural
@@ -130,8 +114,8 @@ def qm_elliptic_closed(query: InvariantQuery, strict: bool = True) -> InvariantR
 
     (2g-2) * sum_{m|w} 1/m when w = d*a mod r, and 0 otherwise, with one
     breakdown entry (m, (2g-2)/m) per divisor m of w.  ``strict`` is the
-    proven-set gate it shares with the oracle (``unproven_reason``).  Gate,
-    value and breakdown read one scan of the divisors of w.
+    proven-set gate it shares with the oracle (``_gate``), whose divisor
+    scan the value and breakdown read.
     """
     value, divs, conjectural = _closed_form(query, strict)
     scale = 2 * query.g - 2
@@ -151,8 +135,7 @@ def qm_elliptic_oracle(query: InvariantQuery, strict: bool = True) -> InvariantR
     the closed form's meaning, and a proven query with an unsupported
     component raises ``RuntimeError``.
     """
-    _require_positive_degree(query)
-    conjectural = _admit(unproven_reason(query), strict)
+    conjectural = _gate(query, strict)[0] is not None
     components = wall_components(query)
     if not conjectural and not all(c.supported for c in components):
         raise RuntimeError(f"the proven query r={query.r}, w={query.w} has an unsupported wall component")
@@ -215,10 +198,9 @@ def _series_identity(g: int, order: int, d: int) -> SeriesIdentity:
 
     The left side collects the w = d mod 2 coefficients (w >= 1), each the
     moduli-side value 2^(2g) times the closed form's ``value_t``, read from
-    the closed form's own kernel: one divisor scan per coefficient, and no
-    breakdown, which the identity never reads.  It never comes from the
-    sigma sieve of ``series_log_product``, which builds the right side.
-    The right side is
+    the closed form's own kernel with no breakdown, which the identity
+    never reads.  It never comes from the sigma sieve of
+    ``series_log_product``, which builds the right side:
     (2-2g) * 2^(2g-1) * (U(q) -+ U(-q)), with the difference for odd d and
     the sum for even d.
     """

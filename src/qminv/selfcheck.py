@@ -2,7 +2,8 @@
 
 Each check re-derives a structural identity through an independent route
 and reports a (name, passed, detail) triple.  The suite is sized to run
-in a couple of seconds; the full-depth versions live in the test suite.
+in a few tens of milliseconds; the full-depth versions live in the test
+suite.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .invariants import (
     qm_moduli,
     series_identity_even,
     series_identity_odd,
+    unproven_reason,
 )
 from .quotloc import (
     normal_bundle_inverse_expansion,
@@ -118,13 +120,19 @@ def _check_slice_euler() -> Check:
 
 
 def _check_component_ledger() -> Check:
+    # the proven-set rule reads the divisors of w mod r, a component's
+    # quotient rank is -a^(-1) * (w/m) mod r: a query is proven exactly
+    # when all its components are supported, on the congruence
     ok = True
-    for w in range(1, 61):
-        query = InvariantQuery(r=2, d=w % 2, a=1, w=w, g=2)
-        for c in wall_components(query):
-            ok = ok and c.stab_order == c.dim**2
-            ok = ok and c.dim * Fraction(c.slice_euler, c.stab_order) == 1
-            ok = ok and c.dim == w // c.divisor
+    for r, a, top in ((2, 1, 60), (3, 1, 30), (3, 2, 30)):
+        for w in range(1, top + 1):
+            query = InvariantQuery(r=r, d=w * pow(a, -1, r) % r, a=a, w=w, g=2)
+            components = wall_components(query)
+            ok = ok and (unproven_reason(query) is None) == all(c.supported for c in components)
+            for c in components:
+                ok = ok and c.stab_order == c.dim**2
+                ok = ok and c.dim * Fraction(c.slice_euler, c.stab_order) == 1
+                ok = ok and c.dim == w // c.divisor
     return ("wall components: stabilizer and Euler ledger", ok, "")
 
 

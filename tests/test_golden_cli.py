@@ -82,6 +82,11 @@ CASES: dict[str, list[str]] = {
     "invariant_closed_permissive_table": (
         ["invariant", "-r", "3", "-d", "2", "-a", "1", "-w", "5", "-g", "2", "--route", "closed",
          "--permissive"]),
+    # off the congruence: the closed form's own flag, which --route both hides
+    # behind the oracle's
+    "invariant_closed_off_congruence_permissive_table": (
+        ["invariant", "-r", "5", "-d", "1", "-a", "2", "-w", "4", "-g", "2", "--route", "closed",
+         "--permissive"]),
     "invariant_out_file": INV + ["--decimal", "--out", "OUT"],
     "invariant_exit3_oracle": (
         ["invariant", "-r", "3", "-d", "2", "-a", "1", "-w", "5", "-g", "2", "--route", "oracle"]),

@@ -263,13 +263,18 @@ class TestOneDivisorScan:
         (series_identity_odd if d else series_identity_even)(3, 20)
         assert scans == list(range(2 - d, 21, 2))
 
-    def test_composite_rank_is_refused_before_any_scan(self, scans):
+    def test_composite_rank_is_refused_before_any_scan(self, scans, monkeypatch):
+        enumerations = []
+        monkeypatch.setattr(invariants, "wall_components", lambda q: enumerations.append(q) or [])
         query = InvariantQuery(r=4, d=1, a=1, w=5, g=2)
         reason = "no proven closed form for r=4, w=5: the rank 4 is not prime"
         with pytest.raises(UnsupportedQueryError, match=f"^{reason}$"):
             qm_elliptic_closed(query)
         assert invariants.unproven_reason(query) == reason
+        with pytest.raises(UnsupportedQueryError, match=f"^{reason}$"):
+            qm_elliptic_oracle(query)
         assert scans == []
+        assert enumerations == []
 
 
 class TestConjecturalFormula:
@@ -311,6 +316,13 @@ class TestInputChecks:
             (lambda: qm_moduli(q2(1, 3), route="x"), ValueError, "unknown route 'x'"),
             (lambda: qm_degree_zero(q2(1, 1)), ValueError, "expects w = 0"),
             (lambda: qm_elliptic_oracle(q2(0, 0)), ValueError, "needs w >= 1"),
+            # the proven-set rule refuses w = 0 as the routes do, whatever the rank
+            (lambda: invariants.unproven_reason(q2(0, 0)), ValueError, "^a positive-degree route needs w >= 1"),
+            (
+                lambda: invariants.unproven_reason(InvariantQuery(r=4, d=0, a=1, w=0, g=2)),
+                ValueError,
+                "^a positive-degree route needs w >= 1",
+            ),
             (lambda: normal_bundle_inverse_expansion(0, 1), ValueError, "divisor must be >= 1"),
             (lambda: normal_bundle_inverse_expansion(1, -1), ValueError, "dimension must be >= 0"),
             # order 1 of the even identity has no moduli-side term to reject g
