@@ -17,8 +17,12 @@ and ``laurent_residue`` reads the ``z**-1`` entry.
 
 Values are coerced to ``Fraction`` once, on entry; arithmetic on
 ``Fraction`` coefficients never coerces its own results again.  The
-``QSeries`` product skips zero factors, so it builds a new ``Fraction``
-only where a nonzero value needs one.
+``QSeries`` product skips zero factors and ``scale`` skips zero
+coefficients, so each builds a new ``Fraction`` only where a nonzero
+value needs one; a skipped zero stays the module's shared zero.
+``parity_part`` keeps the terms of one parity of the exponent and puts
+the shared zero at the others, with no arithmetic: it is half of
+``U(q) +- U(-q)``, without the terms that cancel.
 """
 
 from __future__ import annotations
@@ -114,7 +118,17 @@ class QSeries:
 
     def scale(self, c) -> "QSeries":
         c = _as_fraction(c)
-        return QSeries(tuple(c * coeff for coeff in self.coeffs))
+        return QSeries(tuple(c * coeff if coeff else _ZERO for coeff in self.coeffs))
+
+    def parity_part(self, p: int) -> "QSeries":
+        """The terms at exponents w = p mod 2, with the shared zero elsewhere.
+
+        Twice ``parity_part(1)`` is ``self - self.negate_variable()`` and
+        twice ``parity_part(0)`` is ``self + self.negate_variable()``.
+        """
+        coeffs = [_ZERO] * len(self.coeffs)
+        coeffs[p % 2 :: 2] = self.coeffs[p % 2 :: 2]
+        return QSeries(coeffs)
 
     def negate_variable(self) -> "QSeries":
         """Substitute q -> -q, flipping the sign of odd coefficients."""

@@ -28,7 +28,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .arith import InvariantQuery, divisors, is_prime
-from .exactalg import QSeries, series_log_product
+from .exactalg import _ZERO, QSeries, series_log_product
 from .quotloc import component_residue_degree, wall_components
 
 ROUTE_CLOSED = "closed_form"
@@ -202,19 +202,20 @@ def _series_identity(g: int, order: int, d: int) -> SeriesIdentity:
     never reads.  It never comes from the sigma sieve of
     ``series_log_product``, which builds the right side:
     (2-2g) * 2^(2g-1) * (U(q) -+ U(-q)), with the difference for odd d and
-    the sum for even d.
+    the sum for even d.  That is 2 * (2-2g) * 2^(2g-1) times the part of U
+    of d's parity, so the right side is ``U.parity_part(d)`` scaled, and
+    only its surviving coefficients see any arithmetic.  Both sides hold
+    the shared zero at the other parity, which ``==`` compares by identity.
     """
     if g < 2:
         raise ValueError(f"genus must be >= 2, got {g}")
     factor = 2 ** (2 * g)
-    lhs_coeffs = [Fraction(0)] * (order + 1)
+    lhs_coeffs = [_ZERO] * (order + 1)
     for w in range(2 - d, order + 1, 2):
         value, _, _ = _closed_form(InvariantQuery(r=2, d=d, a=1, w=w, g=g), strict=True)
         lhs_coeffs[w] = value * factor
-    lhs = QSeries(tuple(lhs_coeffs))
-    u = series_log_product(order)
-    flipped = u.negate_variable()
-    rhs = (u - flipped if d else u + flipped).scale((2 - 2 * g) * 2 ** (2 * g - 1))
+    lhs = QSeries(lhs_coeffs)
+    rhs = series_log_product(order).parity_part(d).scale((2 - 2 * g) * 2 ** (2 * g))
     return SeriesIdentity(lhs, rhs, lhs == rhs)
 
 
@@ -223,7 +224,8 @@ def series_identity_odd(g: int, order: int) -> SeriesIdentity:
 
     Left side: sum over odd w of the rank-2, d=1 moduli-side invariants.
     Right side: (2-2g) * 2^(2g-1) * (U(q) - U(-q)) with
-    U(q) = log prod_{k>=1} (1 - q^k).
+    U(q) = log prod_{k>=1} (1 - q^k), computed as (2-2g) * 2^(2g) times
+    the odd part of U.
     """
     return _series_identity(g, order, d=1)
 
@@ -232,6 +234,7 @@ def series_identity_even(g: int, order: int) -> SeriesIdentity:
     """Even-degree generating series against the eta-log sum.
 
     Left side: sum over even w >= 2 of the rank-2, d=0 moduli-side
-    invariants.  Right side: (2-2g) * 2^(2g-1) * (U(q) + U(-q)).
+    invariants.  Right side: (2-2g) * 2^(2g-1) * (U(q) + U(-q)), computed
+    as (2-2g) * 2^(2g) times the even part of U.
     """
     return _series_identity(g, order, d=0)

@@ -58,6 +58,8 @@ def _check_negation_parity() -> Check:
     diff, total = u - flipped, u + flipped
     ok = ok and all(diff.coefficient(w) == 0 for w in range(0, order + 1, 2))
     ok = ok and all(total.coefficient(w) == 0 for w in range(1, order + 1, 2))
+    # the series identities' right side takes the parity part instead
+    ok = ok and diff == u.parity_part(1).scale(2) and total == u.parity_part(0).scale(2)
     return ("variable negation is an involution with clean parity split", ok, "")
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qminv.arith import ChernClass
-from qminv.exactalg import EquivCoeff, QSeries, laurent_residue, series_log_product
+from qminv.exactalg import _ZERO, EquivCoeff, QSeries, laurent_residue, series_log_product
 from qminv.quotloc import WallComponent, component_residue_degree, normal_bundle_inverse_expansion
 
 F = Fraction
@@ -76,6 +76,55 @@ class TestNegateVariable:
             assert difference.coefficient(w) == 0
         for w in range(1, 32, 2):
             assert total.coefficient(w) == 0
+
+
+class TestParityPart:
+    """parity_part against the q -> -q route it replaces in the series identities."""
+
+    @pytest.mark.parametrize("order", [1, 2, 17, 30])
+    def test_parts_sum_to_series(self, order):
+        s = series_log_product(order) + QSeries(tuple(F(w, 3) for w in range(order + 1)))
+        assert s.parity_part(0) + s.parity_part(1) == s
+
+    @pytest.mark.parametrize("order", [1, 2, 17, 30])
+    def test_doubled_part_is_sum_or_difference_with_negated_variable(self, order):
+        s = series_log_product(order) + QSeries(tuple(F(w, 3) for w in range(order + 1)))
+        flipped = s.negate_variable()
+        assert s.parity_part(0).scale(2) == s + flipped
+        assert s.parity_part(1).scale(2) == s - flipped
+
+    def test_other_parity_is_the_shared_zero(self):
+        s = QSeries(tuple(range(1, 8)))
+        for p in (0, 1):
+            part = s.parity_part(p)
+            assert all(part.coeffs[w] is _ZERO for w in range(1 - p, 7, 2))
+            assert part.coeffs[p::2] == s.coeffs[p::2]
+
+    def test_parity_is_read_mod_two(self):
+        s = series_log_product(9)
+        assert s.parity_part(3) == s.parity_part(-1) == s.parity_part(1)
+        assert s.parity_part(2) == s.parity_part(-2) == s.parity_part(0)
+
+
+class TestScale:
+    def test_zero_coefficient_stays_the_shared_zero(self):
+        scaled = QSeries((0, 3, F(0), -2)).scale(F(-5, 7))
+        assert scaled.coeffs == (F(0), F(-15, 7), F(0), F(10, 7))
+        assert scaled.coeffs[0] is _ZERO and scaled.coeffs[2] is _ZERO
+
+    def test_matches_dense_product(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        fractions = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+        # zeros drawn as often as nonzero values, so they sit scattered
+        coefficient = st.one_of(st.just(F(0)), fractions)
+
+        @hypothesis.settings(derandomize=True, deadline=None, max_examples=200)
+        @hypothesis.given(st.lists(coefficient, min_size=2, max_size=30), fractions)
+        def check(coeffs, c):
+            assert QSeries(coeffs).scale(c).coeffs == tuple(c * x for x in coeffs)
+
+        check()
 
 
 class TestQSeriesRing:

@@ -10,7 +10,7 @@ from qminv.arith import (
     divisors,
     sigma_minus_one,
 )
-from qminv.exactalg import series_log_product
+from qminv.exactalg import QSeries, series_log_product
 from qminv.invariants import (
     ROUTE_ORACLE,
     InvariantResult,
@@ -235,6 +235,23 @@ class TestSeriesIdentities:
         # sigma sieve: a closed form that loses w from its divisors of w
         # must fail both identities
         monkeypatch.setattr(invariants, "divisors", lambda w: divisors(w)[:-1])
+        assert not series_identity_odd(2, 9).equal
+        assert not series_identity_even(2, 10).equal
+
+    def test_right_side_of_wrong_parity_disagrees(self, monkeypatch):
+        parity_part = QSeries.parity_part
+        monkeypatch.setattr(QSeries, "parity_part", lambda s, p: parity_part(s, p + 1))
+        assert not series_identity_odd(2, 9).equal
+        assert not series_identity_even(2, 10).equal
+
+    def test_right_side_reads_every_eta_log_coefficient(self, monkeypatch):
+        # perturb the top coefficient, which has the identity's parity
+        def perturbed(order):
+            coeffs = list(series_log_product(order).coeffs)
+            coeffs[order] += F(1, order)
+            return QSeries(coeffs)
+
+        monkeypatch.setattr(invariants, "series_log_product", perturbed)
         assert not series_identity_odd(2, 9).equal
         assert not series_identity_even(2, 10).equal
 
