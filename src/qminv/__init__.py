@@ -5,33 +5,22 @@ divisor-sum formulas and a wall-crossing pipeline over Quot-scheme
 components) and assembled into generating series whose eta-product
 identities can be verified to arbitrary truncation.  All arithmetic is
 exact rational.
+
+``__all__`` is what a caller needs: the query, the routes and their
+results, the series identities, and the wall components with the types
+a result holds.  The pipeline's own steps (divisor scans, the degree
+solve, the residue engine, the slice brute force) stay importable from
+their modules.
 """
 
-from .arith import (
-    BaseDegrees,
-    ChernClass,
-    InvariantQuery,
-    canonical_u_choice,
-    chi_pairing_elliptic,
-    divisors,
-    is_prime,
-    sigma_minus_one,
-    solve_base_degrees,
-    torsion_order,
-)
-from .exactalg import (
-    EquivCoeff,
-    QSeries,
-    laurent_residue,
-    series_log_product,
-)
+from .arith import ChernClass, InvariantQuery
+from .exactalg import QSeries
 from .invariants import (
     ROUTE_CLOSED,
     ROUTE_ORACLE,
     InvariantResult,
     SeriesIdentity,
     UnsupportedQueryError,
-    degree_congruent,
     qm_degree_zero,
     qm_elliptic,
     qm_elliptic_closed,
@@ -41,21 +30,12 @@ from .invariants import (
     series_identity_odd,
     unproven_reason,
 )
-from .quotloc import (
-    WallComponent,
-    component_residue_degree,
-    normal_bundle_inverse_expansion,
-    quot_dimension,
-    slice_euler_bruteforce,
-    wall_components,
-)
+from .quotloc import WallComponent, wall_components
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BaseDegrees",
     "ChernClass",
-    "EquivCoeff",
     "InvariantQuery",
     "InvariantResult",
     "QSeries",
@@ -64,27 +44,13 @@ __all__ = [
     "SeriesIdentity",
     "UnsupportedQueryError",
     "WallComponent",
-    "canonical_u_choice",
-    "chi_pairing_elliptic",
-    "component_residue_degree",
-    "degree_congruent",
-    "divisors",
-    "is_prime",
-    "laurent_residue",
-    "normal_bundle_inverse_expansion",
     "qm_degree_zero",
     "qm_elliptic",
     "qm_elliptic_closed",
     "qm_elliptic_oracle",
     "qm_moduli",
-    "quot_dimension",
     "series_identity_even",
     "series_identity_odd",
-    "series_log_product",
-    "sigma_minus_one",
-    "slice_euler_bruteforce",
-    "solve_base_degrees",
-    "torsion_order",
     "unproven_reason",
     "wall_components",
     "__version__",

@@ -2,10 +2,10 @@
 
 Divisor enumeration and the divisor sum sigma_{-1}(w) = sum_{m|w} 1/m are
 the kernel of every positive-degree invariant.  The rest of the module
-fixes the bookkeeping of a query: the Euler pairing on an elliptic curve,
-the integer system that transports the quasimap degree w into the
-base-direction Chern components of the associated sheaf, and torsion
-subgroup orders E[n] = n^2.
+fixes the bookkeeping of a query: the normalisation class of a
+(rank, degree) pair, the integer system that transports the quasimap
+degree w into the base-direction Chern components of the associated
+sheaf, and torsion subgroup orders E[n] = n^2.
 """
 
 from __future__ import annotations
@@ -70,15 +70,6 @@ class ChernClass(namedtuple("ChernClass", "rank deg")):
     __slots__ = ()
 
 
-def chi_pairing_elliptic(v: ChernClass, u: ChernClass) -> int:
-    """Euler pairing chi(v.u) on a genus-1 curve.
-
-    The Todd correction vanishes in genus 1, leaving
-    chi = rk(v)*deg(u) + deg(v)*rk(u).
-    """
-    return v.rank * u.deg + v.deg * u.rank
-
-
 class BaseDegrees(namedtuple("BaseDegrees", "c1 ch2")):
     """Base-direction Chern data of the sheaf attached to a quasisection.
 
@@ -90,23 +81,22 @@ class BaseDegrees(namedtuple("BaseDegrees", "c1 ch2")):
     __slots__ = ()
 
 
-def solve_base_degrees(r: int, a: int, w: int, u: ChernClass) -> BaseDegrees:
+def solve_base_degrees(r: int, a: int, w: int) -> BaseDegrees:
     """Solve the 2x2 integer system pinning the base-direction degrees.
 
         c1 * deg(u) + ch2 * rk(u) = 0
         c1 * a      - ch2 * r     = w
 
-    Its determinant is -chi((r, a), u), so u must pair to 1: the solution
-    is then (rk(u) * w, -deg(u) * w), and (w, 0) for u = (1, 0).
+    for u = ``canonical_u_choice(r, a)``.  Its determinant is
+    -(r * deg(u) + a * rk(u)) = -1, so the solution is
+    (rk(u) * w, -deg(u) * w), and (w, 0) for a = 1, where u = (1, 0).
     """
-    chi = chi_pairing_elliptic(ChernClass(r, a), u)
-    if chi != 1:
-        raise ValueError(f"degree system needs chi(({r},{a}), u) = 1; u=({u.rank},{u.deg}) gives {chi}")
+    u = canonical_u_choice(r, a)
     return BaseDegrees(u.rank * w, -u.deg * w)
 
 
 def canonical_u_choice(r: int, a: int) -> ChernClass:
-    """A normalisation class with chi pairing 1 against (r, a).
+    """The normalisation class u with r * deg(u) + a * rk(u) = 1.
 
     Takes rk(u) to be the inverse of a mod r; the degree component is then
     forced.  Only defined for gcd(r, a) = 1.

@@ -6,7 +6,7 @@ point is used anywhere.  Two coefficient types live here:
 * ``QSeries`` -- truncated formal power series in ``q`` over ``Fraction``,
   used for the generating-series identities.
 * ``EquivCoeff`` -- the residue engine's coefficients
-  ``const + t*t + omega*omega``, where ``omega`` stands for the first
+  ``t*t + omega*omega``, where ``omega`` stands for the first
   Chern class of the canonical bundle of the base curve and ``t`` is the
   equivariant weight of the scaling torus.  A coefficient is written as
   a literal and has no operations; the caller reads its fields.
@@ -165,10 +165,11 @@ def series_log_product(order: int) -> QSeries:
     return QSeries((_ZERO, *(Fraction(-sigma[w], w) for w in range(1, order + 1))))
 
 
-class EquivCoeff(namedtuple("EquivCoeff", "const t omega")):
-    """Residue coefficient ``const + t * t + omega * omega``.
+class EquivCoeff(namedtuple("EquivCoeff", "t omega")):
+    """Residue coefficient ``t * t + omega * omega``.
 
-    Each field is the coefficient of the variable it is named after.
+    Each field is the coefficient of the variable it is named after.  No
+    residue has a z**0 part to carry, so there is no constant slot.
     Degree-2 terms (t**2, t*omega) are not represented: the base is a
     curve, and the value is read in t-degree 1.  A coefficient is a plain
     record: it is written as a literal, its fields are coerced to
@@ -177,8 +178,8 @@ class EquivCoeff(namedtuple("EquivCoeff", "const t omega")):
 
     __slots__ = ()
 
-    def __new__(cls, const=0, t=0, omega=0):
-        return tuple.__new__(cls, map(_as_fraction, (const, t, omega)))
+    def __new__(cls, t=0, omega=0):
+        return tuple.__new__(cls, map(_as_fraction, (t, omega)))
 
     # namedtuple's own _make, behind _replace, would skip the coercion
     _make = classmethod(lambda cls, it: cls(*it))

@@ -24,7 +24,7 @@ from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
-from .arith import ChernClass, InvariantQuery, canonical_u_choice, divisors, solve_base_degrees, torsion_order
+from .arith import ChernClass, InvariantQuery, divisors, solve_base_degrees, torsion_order
 from .exactalg import EquivCoeff, laurent_residue
 
 
@@ -32,14 +32,10 @@ def quot_dimension(r: int, a: int, u: ChernClass) -> int:
     """Dimension r*deg(u) - a*rk(u) of the Quot component of class u.
 
     This bilinear form reproduces both analysed cases: r(k-a)+a for
-    u = (r-1, k) and r*k for u = (0, k).
+    u = (r-1, k) and r*k for u = (0, k).  ``wall_components`` checks the
+    result against w/m, so no component has a negative dimension.
     """
-    dim = r * u.deg - a * u.rank
-    if dim < 0:
-        raise ValueError(
-            f"quotient class ({u.rank},{u.deg}) has negative dimension {dim}"
-        )
-    return dim
+    return r * u.deg - a * u.rank
 
 
 def slice_euler_bruteforce(r: int, u: ChernClass) -> int:
@@ -72,30 +68,23 @@ def slice_euler_bruteforce(r: int, u: ChernClass) -> int:
     return total
 
 
-# The z^0 term.  An EquivCoeff is immutable, so every expansion can share
-# it without copying.
-_ONE = EquivCoeff(1)
-
-
 def normal_bundle_inverse_expansion(m: int, dim: int) -> dict[int, EquivCoeff]:
     """Inverse equivariant Euler class of a component's virtual normal bundle.
 
     The z-expansion starts 1 + (-m z)^{-1} c_1 + ..., where the first
     Chern class of the twisted Hom complex is dim * (omega - t).  Only the
-    z^0 and z^-1 terms are built, as ``{0: 1, -1: -c_1/m}`` (no -1 key
-    when dim = 0): terms at z^-2 and below cannot contribute to any degree,
-    because the base is a curve.  The pole -(dim/m) * (omega - t) is
-    written as a literal from one ``Fraction(dim, m)``.
+    z^-1 term is built, as ``{-1: -c_1/m}`` (``{}`` when dim = 0): the z^0
+    term carries no t and no omega, so no degree reads it, and terms at
+    z^-2 and below cannot contribute to any degree, because the base is a
+    curve.  The pole -(dim/m) * (omega - t) is written as a literal from
+    one ``Fraction(dim, m)``.
     """
     if m < 1:
         raise ValueError(f"divisor must be >= 1, got {m}")
-    if dim < 0:
-        raise ValueError(f"dimension must be >= 0, got {dim}")
-    terms = {0: _ONE}
-    if dim:
-        pole = Fraction(dim, m)
-        terms[-1] = EquivCoeff(t=pole, omega=-pole)
-    return terms
+    if not dim:
+        return {}
+    pole = Fraction(dim, m)
+    return {-1: EquivCoeff(t=pole, omega=-pole)}
 
 
 class WallComponent(namedtuple("WallComponent", "divisor twist quotient_class dim stab_order slice_euler supported")):
@@ -106,8 +95,9 @@ class WallComponent(namedtuple("WallComponent", "divisor twist quotient_class di
     no component exists when c1 is not d mod r (the space is empty).
     twist is the unique integer h with h*r - c1/m in [0, r-1], and h >= 1
     since rk(u) >= 1; the quotient class is h*(r, a) - (c1/m, ch2/m).
-    dim equals w/m for every component, since chi((r, a), u) = 1 times
-    w/m, and ``wall_components`` checks it.  stab_order is
+    dim = (a*c1 - r*ch2)/m equals w/m for every component, by the
+    second equation of ``solve_base_degrees``, and ``wall_components``
+    checks it.  stab_order is
     ``torsion_order(dim)`` = |E[dim]| = dim^2.  supported is False when the
     quotient rank is outside the analysed classes {0, r-1}, where that
     order is conjectural.
@@ -121,7 +111,7 @@ def wall_components(query: InvariantQuery) -> list[WallComponent]:
     if query.w < 1:
         raise ValueError("wall components exist only for quasimap degree w >= 1")
     r, a = query.r, query.a
-    bd = solve_base_degrees(r, a, query.w, canonical_u_choice(r, a))
+    bd = solve_base_degrees(r, a, query.w)
     if bd.c1 % r != query.d % r:
         return []
     components = []

@@ -325,7 +325,7 @@ def _double_stabilizer(original):
 def _negate_pole(original):
     def perturbed(m, dim):
         f = original(m, dim)
-        return {0: f[0], -1: EquivCoeff(*(-v for v in f[-1]))}
+        return {-1: EquivCoeff(*(-v for v in f[-1]))}
 
     return perturbed
 
@@ -334,9 +334,13 @@ def _shift_slice_euler(original):
     return lambda r, u: original(r, u) + 1
 
 
-def _read_constant_term(original):
-    # the z^0 entry in place of z^-1
-    return lambda f: original({-1: f[0]})
+def _swap_slots(original):
+    # the omega slot read as t: the pole's omega is minus its t
+    def perturbed(f):
+        residue = original(f)
+        return EquivCoeff(t=residue.omega, omega=residue.t)
+
+    return perturbed
 
 
 class TestOracleCanDisagree:
@@ -347,7 +351,7 @@ class TestOracleCanDisagree:
         [
             ("torsion_order", _double_stabilizer, "3", "1"),
             ("normal_bundle_inverse_expansion", _negate_pole, "3", "1"),
-            ("laurent_residue", _read_constant_term, "3", "1"),
+            ("laurent_residue", _swap_slots, "3", "1"),
             # w = 6 has a rank-0 component; at w = 3 the brute force never runs
             ("slice_euler_bruteforce", _shift_slice_euler, "6", "0"),
         ],

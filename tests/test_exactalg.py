@@ -205,11 +205,14 @@ class TestQSeriesRecord:
 
 
 class TestEquivCoeff:
-    def test_three_slots(self):
-        assert EquivCoeff._fields == ("const", "t", "omega")
-        assert EquivCoeff() == (F(0), F(0), F(0))
+    def test_two_slots(self):
+        # no residue has a z^0 part, so there is no constant slot
+        assert EquivCoeff._fields == ("t", "omega")
+        assert EquivCoeff() == (F(0), F(0))
         with pytest.raises(TypeError):
-            EquivCoeff(1, 2, 3, 4)
+            EquivCoeff(1, 2, 3)
+        with pytest.raises(TypeError):
+            EquivCoeff(const=1)
 
     def test_old_tuple_slot_form_raises(self):
         with pytest.raises(TypeError):
@@ -218,13 +221,13 @@ class TestEquivCoeff:
             EquivCoeff((0, -1), (1,))
 
     def test_replace_coerces(self):
-        x = EquivCoeff(5)._replace(t=2)
-        assert x == EquivCoeff(5, 2, 0)
-        assert type(x.t) is Fraction
+        x = EquivCoeff(5)._replace(omega=2)
+        assert x == EquivCoeff(5, 2)
+        assert type(x.omega) is Fraction
 
     def test_keyword_construction_is_read_only(self):
-        x = EquivCoeff(const=1, omega=2)
-        assert x == EquivCoeff(1, 0, 2)
+        x = EquivCoeff(omega=2)
+        assert x == EquivCoeff(0, 2)
         with pytest.raises(AttributeError):
             x.t = F(0)
 
@@ -261,16 +264,16 @@ class TestComponentDegree:
 class TestLaurentResidue:
     def test_residue_direct_readoff(self):
         pole = EquivCoeff(t=3, omega=1)
-        f = {0: EquivCoeff(1), -1: pole}
+        f = {1: EquivCoeff(t=1), -1: pole}
         assert laurent_residue(f) == pole
 
     def test_no_pole_gives_zero(self):
-        f = {0: EquivCoeff(5)}
-        assert laurent_residue(f) == EquivCoeff()
+        assert laurent_residue({}) == EquivCoeff()
+        assert laurent_residue({-2: EquivCoeff(t=5)}) == EquivCoeff()
 
     def test_geometric_expansion_residue(self):
         # sum_k (-m z)^(-k) c_k with c_0 = 1 and c_1 = 2t + omega, at m = 3,
-        # has residue -c_1/3
+        # has residue -c_1/3; the z^0 term 1 has no t or omega slot to hold it
         pole = EquivCoeff(t=F(-2, 3), omega=F(-1, 3))
-        f = {0: EquivCoeff(1), -1: pole}
+        f = {-1: pole}
         assert laurent_residue(f) == pole

@@ -341,7 +341,6 @@ class TestInputChecks:
                 "^a positive-degree route needs w >= 1",
             ),
             (lambda: normal_bundle_inverse_expansion(0, 1), ValueError, "divisor must be >= 1"),
-            (lambda: normal_bundle_inverse_expansion(1, -1), ValueError, "dimension must be >= 0"),
             # order 1 of the even identity has no moduli-side term to reject g
             (lambda: series_identity_even(1, 1), ValueError, "genus must be >= 2, got 1"),
             (lambda: qm_elliptic(q2(1, 3), route="x"), ValueError, "^unknown route 'x'$"),
