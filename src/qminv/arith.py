@@ -4,8 +4,11 @@ Divisor enumeration and the divisor sum sigma_{-1}(w) = sum_{m|w} 1/m are
 the kernel of every positive-degree invariant.  The rest of the module
 fixes the bookkeeping of a query: the normalisation class of a
 (rank, degree) pair, the integer system that transports the quasimap
-degree w into the base-direction Chern components of the associated
-sheaf, and torsion subgroup orders E[n] = n^2.
+degree w into the base-direction Chern components (c1, ch2) of the
+associated sheaf, and torsion subgroup orders E[n] = n^2.
+``InvariantQuery`` is the one home of the input rules: a step that
+needs a rule on r, a or g (the gcd, the genus bound) builds a query
+rather than restating it.
 """
 
 from __future__ import annotations
@@ -70,19 +73,12 @@ class ChernClass(namedtuple("ChernClass", "rank deg")):
     __slots__ = ()
 
 
-class BaseDegrees(namedtuple("BaseDegrees", "c1 ch2")):
-    """Base-direction Chern data of the sheaf attached to a quasisection.
+def solve_base_degrees(r: int, a: int, w: int) -> tuple[int, int]:
+    """The base-direction Chern data (c1, ch2) of the sheaf attached to a quasisection.
 
     c1 is the first-Chern component along the base curve (its residue
     mod r is the gerbe degree the query must match); ch2 is the second
-    character component.
-    """
-
-    __slots__ = ()
-
-
-def solve_base_degrees(r: int, a: int, w: int) -> BaseDegrees:
-    """Solve the 2x2 integer system pinning the base-direction degrees.
+    character component.  They solve the 2x2 integer system
 
         c1 * deg(u) + ch2 * rk(u) = 0
         c1 * a      - ch2 * r     = w
@@ -92,17 +88,16 @@ def solve_base_degrees(r: int, a: int, w: int) -> BaseDegrees:
     (rk(u) * w, -deg(u) * w), and (w, 0) for a = 1, where u = (1, 0).
     """
     u = canonical_u_choice(r, a)
-    return BaseDegrees(u.rank * w, -u.deg * w)
+    return u.rank * w, -u.deg * w
 
 
 def canonical_u_choice(r: int, a: int) -> ChernClass:
     """The normalisation class u with r * deg(u) + a * rk(u) = 1.
 
     Takes rk(u) to be the inverse of a mod r; the degree component is then
-    forced.  Only defined for gcd(r, a) = 1.
+    forced.  Only defined for gcd(r, a) = 1: otherwise ``pow`` finds no
+    inverse and raises ``ValueError``.
     """
-    if math.gcd(r, a) != 1:
-        raise ValueError(f"no unit normalisation: gcd({r},{a}) != 1")
     u1 = pow(a, -1, r)
     u2 = (1 - a * u1) // r
     return ChernClass(u1, u2)
@@ -138,11 +133,10 @@ class InvariantQuery(namedtuple("InvariantQuery", "r d a w g")):
             raise ValueError(f"quasimap degree must be <= {_MAX_SIZE}, got {w}")
         if not 0 <= a < r:
             raise ValueError(f"a must lie in [0, {r}), got {a}")
-        if u_choice is None:
-            if math.gcd(r, a) != 1:
-                raise ValueError(f"no unit normalisation: gcd({r},{a}) != 1")
-        else:
-            canonical = canonical_u_choice(r, a)  # rejects a non-coprime a
+        if math.gcd(r, a) != 1:
+            raise ValueError(f"no unit normalisation: gcd({r},{a}) != 1")
+        if u_choice is not None:
+            canonical = canonical_u_choice(r, a)
             if u_choice != canonical:
                 raise ValueError(f"u_choice must be None or canonical_u_choice({r}, {a}) = {canonical!r}, got {u_choice!r}")
         return tuple.__new__(cls, (r, d, a, w, g))

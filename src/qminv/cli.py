@@ -341,17 +341,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     # exact values may pass CPython's 4300-digit limit on int-to-str
-    # conversion; the limit does not exist before Python 3.10.7
-    if hasattr(sys, "set_int_max_str_digits"):
+    # conversion: main lifts it while it runs, and every exit restores the
+    # caller's limit; the limit does not exist before Python 3.10.7
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
         sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_INVALID if exc.code else EXIT_OK  # argparse: 0 after --help, 2 on a usage error
     handlers = {"invariant": _cmd_invariant, "series": _cmd_series, "sweep": _cmd_sweep, "selfcheck": _cmd_selfcheck}
     try:
+        args = build_parser().parse_args(argv)
         return handlers[args.command](args)
+    except SystemExit as exc:
+        return EXIT_INVALID if exc.code else EXIT_OK  # argparse: 0 after --help, 2 on a usage error
     except UnsupportedQueryError as exc:
         print(f"unsupported query: {exc}", file=sys.stderr)
         return EXIT_UNSUPPORTED
@@ -369,6 +369,9 @@ def main(argv=None) -> int:
         # stdout was closed early: silence the interpreter's final flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

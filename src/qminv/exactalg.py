@@ -15,11 +15,13 @@ An expansion in the localisation variable ``z`` is a plain ``dict`` from
 exponent to ``EquivCoeff``; its producer decides which terms it holds,
 and ``laurent_residue`` reads the ``z**-1`` entry.
 
-Values are coerced to ``Fraction`` once, on entry; arithmetic on
-``Fraction`` coefficients never coerces its own results again.  The
-``QSeries`` product skips zero factors and ``scale`` skips zero
-coefficients, so each builds a new ``Fraction`` only where a nonzero
-value needs one; a skipped zero stays the module's shared zero.
+A ``QSeries`` coerces its coefficients to ``Fraction`` once, on entry;
+arithmetic on ``Fraction`` coefficients never coerces its own results
+again.  An ``EquivCoeff`` coerces nothing: its one producer writes both
+fields from one ``Fraction``.  The ``QSeries`` product skips zero
+factors and ``scale`` skips zero coefficients, so each builds a new
+``Fraction`` only where a nonzero value needs one; a skipped zero stays
+the module's shared zero.
 ``parity_part`` keeps the terms of one parity of the exponent and puts
 the shared zero at the others, with no arithmetic: it is half of
 ``U(q) +- U(-q)``, without the terms that cancel.
@@ -165,24 +167,18 @@ def series_log_product(order: int) -> QSeries:
     return QSeries((_ZERO, *(Fraction(-sigma[w], w) for w in range(1, order + 1))))
 
 
-class EquivCoeff(namedtuple("EquivCoeff", "t omega")):
+class EquivCoeff(namedtuple("EquivCoeff", "t omega", defaults=(_ZERO, _ZERO))):
     """Residue coefficient ``t * t + omega * omega``.
 
     Each field is the coefficient of the variable it is named after.  No
     residue has a z**0 part to carry, so there is no constant slot.
     Degree-2 terms (t**2, t*omega) are not represented: the base is a
     curve, and the value is read in t-degree 1.  A coefficient is a plain
-    record: it is written as a literal, its fields are coerced to
-    ``Fraction``, and it has no operations.
+    record: it is written as a literal from ``Fraction`` values, an
+    omitted field is the shared zero, and it has no operations.
     """
 
     __slots__ = ()
-
-    def __new__(cls, t=0, omega=0):
-        return tuple.__new__(cls, map(_as_fraction, (t, omega)))
-
-    # namedtuple's own _make, behind _replace, would skip the coercion
-    _make = classmethod(lambda cls, it: cls(*it))
 
 
 # EquivCoeff is immutable, so one zero serves every residue without a pole:

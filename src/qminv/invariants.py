@@ -207,12 +207,13 @@ def _series_identity(g: int, order: int, d: int) -> SeriesIdentity:
     only its surviving coefficients see any arithmetic.  Both sides hold
     the shared zero at the other parity, which ``==`` compares by identity.
     """
-    if g < 2:
-        raise ValueError(f"genus must be >= 2, got {g}")
+    # the query's genus rule, checked before the loop so that an empty left
+    # side is refused too (w = d is a valid degree of either parity)
+    query = InvariantQuery(r=2, d=d, a=1, w=d, g=g)
     factor = 2 ** (2 * g)
     lhs_coeffs = [_ZERO] * (order + 1)
     for w in range(2 - d, order + 1, 2):
-        value, _, _ = _closed_form(InvariantQuery(r=2, d=d, a=1, w=w, g=g), strict=True)
+        value, _, _ = _closed_form(InvariantQuery(query.r, d, query.a, w, g), strict=True)
         lhs_coeffs[w] = value * factor
     lhs = QSeries(lhs_coeffs)
     rhs = series_log_product(order).parity_part(d).scale((2 - 2 * g) * 2 ** (2 * g))

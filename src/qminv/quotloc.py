@@ -111,12 +111,12 @@ def wall_components(query: InvariantQuery) -> list[WallComponent]:
     if query.w < 1:
         raise ValueError("wall components exist only for quasimap degree w >= 1")
     r, a = query.r, query.a
-    bd = solve_base_degrees(r, a, query.w)
-    if bd.c1 % r != query.d % r:
+    c1, ch2 = solve_base_degrees(r, a, query.w)
+    if c1 % r != query.d % r:
         return []
     components = []
     for m in divisors(query.w):
-        x1, x2 = bd.c1 // m, bd.ch2 // m
+        x1, x2 = c1 // m, ch2 // m
         h = -(-x1 // r)
         u_m = ChernClass(h * r - x1, h * a - x2)
         dim = quot_dimension(r, a, u_m)

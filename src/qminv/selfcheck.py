@@ -91,9 +91,9 @@ def _check_degree_solver() -> Check:
         a = rng.choice(a_candidates)
         u = canonical_u_choice(r, a)
         w = rng.randrange(0, 120)
-        bd = solve_base_degrees(r, a, w)
-        ok = ok and bd.c1 * u.deg + bd.ch2 * u.rank == 0
-        ok = ok and bd.c1 * a - bd.ch2 * r == w
+        c1, ch2 = solve_base_degrees(r, a, w)
+        ok = ok and c1 * u.deg + ch2 * u.rank == 0
+        ok = ok and c1 * a - ch2 * r == w
     return ("degree-vector solutions satisfy both equations", ok, "")
 
 

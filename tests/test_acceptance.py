@@ -130,11 +130,15 @@ def test_acceptance_6_stabilizer_dimension_ledger():
     for w in range(1, 501):
         query = InvariantQuery(r=2, d=w % 2, a=1, w=w, g=2)
         for c in wall_components(query):
+            if c.dim != w // c.divisor:
+                failures.append(("dim", w, c.divisor))
             if c.dim * F(c.slice_euler, c.stab_order) != 1:
                 failures.append(("euler", w, c.divisor))
             if c.stab_order != c.dim**2:
                 failures.append(("stab", w, c.divisor))
-    _report(6, "component ledger dim*e=1 and stab=dim^2, w<=500", failures)
+            if not c.supported:
+                failures.append(("supported", w, c.divisor))
+    _report(6, "component ledger dim=w/m, dim*e=1, stab=dim^2 and supported, w<=500", failures)
 
 
 def test_acceptance_7_higher_rank_congruence_case():

@@ -98,6 +98,30 @@ class TestInvariantCommand:
         finally:
             sys.set_int_max_str_digits(default_limit)
 
+    @pytest.mark.skipif(
+        not hasattr(sys, "set_int_max_str_digits"),
+        reason="no int-to-str digit limit before Python 3.10.7",
+    )
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["invariant", "-r", "2", "-d", "1", "-a", "1", "-w", "1", "-g", "7200", "--side", "moduli"], 0),
+            (["invariant", "-r", "4", "-d", "1", "-a", "2", "-w", "1", "-g", "2"], 4),
+        ],
+        ids=["exit0", "exit4"],
+    )
+    def test_main_restores_the_int_str_limit(self, capsys, argv, expected):
+        # main lifts the limit while it runs: the 4339-digit value prints
+        # (exit 0) under a caller's limit of 1000 digits; on return, a
+        # success or a refusal (exit 4), that limit is back
+        saved = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(1000)
+            assert run(capsys, *argv)[0] == expected
+            assert sys.get_int_max_str_digits() == 1000
+        finally:
+            sys.set_int_max_str_digits(saved)
+
     def test_raw_flag(self, capsys):
         _, out, _ = run(
             capsys,

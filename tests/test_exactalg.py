@@ -208,22 +208,20 @@ class TestEquivCoeff:
     def test_two_slots(self):
         # no residue has a z^0 part, so there is no constant slot
         assert EquivCoeff._fields == ("t", "omega")
+        # an omitted field is the shared zero Fraction, not the int 0
         assert EquivCoeff() == (F(0), F(0))
+        assert EquivCoeff(t=F(1)).omega is _ZERO and EquivCoeff().t is _ZERO
         with pytest.raises(TypeError):
             EquivCoeff(1, 2, 3)
         with pytest.raises(TypeError):
             EquivCoeff(const=1)
 
-    def test_old_tuple_slot_form_raises(self):
-        with pytest.raises(TypeError):
-            EquivCoeff((1,))
-        with pytest.raises(TypeError):
-            EquivCoeff((0, -1), (1,))
-
-    def test_replace_coerces(self):
-        x = EquivCoeff(5)._replace(omega=2)
-        assert x == EquivCoeff(5, 2)
-        assert type(x.omega) is Fraction
+    def test_plain_namedtuple(self):
+        # no construction logic of its own: tuple.__new__ and the stock _make
+        assert "__new__" not in vars(EquivCoeff) and "_make" not in vars(EquivCoeff)
+        assert EquivCoeff.__slots__ == ()
+        assert not hasattr(EquivCoeff(), "__dict__")
+        assert EquivCoeff._make((F(1, 2), F(3))) == EquivCoeff(F(1, 2), F(3))
 
     def test_keyword_construction_is_read_only(self):
         x = EquivCoeff(omega=2)

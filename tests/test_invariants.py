@@ -93,16 +93,6 @@ class TestOracle:
         assert result.conjectural
         assert result.value_t == 2 * sigma_minus_one(5)
 
-    def test_oracle_equals_closed_small_grid(self):
-        for d in (0, 1):
-            for g in (2, 3):
-                for w in range(1, 61):
-                    query = q2(d, w, g)
-                    assert (
-                        qm_elliptic_oracle(query).value_t
-                        == qm_elliptic_closed(query).value_t
-                    )
-
 
 class TestInvariantResultRecord:
     def test_keyword_construction_is_read_only(self):
@@ -206,6 +196,17 @@ class TestSeriesIdentities:
         for g in range(2, 6):
             assert series_identity_odd(g, 25).equal
             assert series_identity_even(g, 25).equal
+
+    def test_genus_rule_is_the_query_s(self):
+        # both identities refuse a genus in InvariantQuery's own words, even
+        # at order 0, where the left side holds no term to build a query for
+        for g in (1, 0, -3):
+            with pytest.raises(ValueError) as from_query:
+                InvariantQuery(r=2, d=1, a=1, w=1, g=g)
+            for identity in (series_identity_odd, series_identity_even):
+                with pytest.raises(ValueError) as from_series:
+                    identity(g, 0)
+                assert str(from_series.value) == str(from_query.value) == f"genus must be >= 2, got {g}"
 
     @pytest.mark.parametrize("g", [2, 3, 4, 5])
     @pytest.mark.parametrize("d", [0, 1])

@@ -50,7 +50,6 @@ def test_exported_names():
 @pytest.mark.parametrize(
     "module, name",
     [
-        ("arith", "BaseDegrees"),
         ("arith", "canonical_u_choice"),
         ("arith", "divisors"),
         ("arith", "is_prime"),
