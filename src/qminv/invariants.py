@@ -24,6 +24,7 @@ breakdown.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 
@@ -131,9 +132,11 @@ def qm_elliptic_oracle(query: InvariantQuery, strict: bool = True) -> InvariantR
     degrees; the orientation is fixed so that (r,a)=(2,1), d=1, w=1, g=2
     gives +2.  Emptiness is decided by ``wall_components``, from the base
     degree c1 and not from ``degree_congruent``: an empty moduli space has
-    no component, and the invariant is the empty sum 0.  ``strict`` has
-    the closed form's meaning, and a proven query with an unsupported
-    component raises ``RuntimeError``.
+    no component, and the invariant is the empty sum 0.  The breakdown's
+    ``Fraction`` entries are summed over their least common denominator,
+    as integer numerators, into one ``Fraction`` in lowest terms.
+    ``strict`` has the closed form's meaning, and a proven query with an
+    unsupported component raises ``RuntimeError``.
     """
     conjectural = _gate(query, strict)[0] is not None
     components = wall_components(query)
@@ -142,7 +145,10 @@ def qm_elliptic_oracle(query: InvariantQuery, strict: bool = True) -> InvariantR
     breakdown = tuple(
         (c.divisor, component_residue_degree(c, query.g)) for c in components
     )
-    value = sum((contribution for _, contribution in breakdown), Fraction(0))
+    # one common denominator: integer numerators and a single Fraction, which
+    # reduces the sum; no component gives lcm() = 1 and the value 0
+    den = math.lcm(*(c.denominator for _, c in breakdown))
+    value = Fraction(sum(c.numerator * (den // c.denominator) for _, c in breakdown), den)
     return InvariantResult(value, breakdown, ROUTE_ORACLE, conjectural)
 
 
@@ -167,7 +173,7 @@ def qm_moduli(query: InvariantQuery, route: str = ROUTE_CLOSED, strict: bool = T
     odd w the genus-1 Gromov-Witten invariant of the moduli space.
     """
     base = qm_elliptic(query, route=route, strict=strict)
-    factor = Fraction(query.r) ** (2 * query.g)
+    factor = query.r ** (2 * query.g)
     breakdown = tuple((m, c * factor) for m, c in base.breakdown)
     return InvariantResult(base.value_t * factor, breakdown, base.route, base.conjectural)
 

@@ -48,7 +48,9 @@ def slice_euler_bruteforce(r: int, u: ChernClass) -> int:
     are nonzero (the locus then carries a free translation action); it has
     a single nonzero part, of degree k, exactly when every partial sum is
     0 or k, and then contributes the Euler characteristic k of the
-    projective slice.
+    projective slice.  The visit is one ``map`` of ``ends.issuperset`` over
+    the partial-sum tuples, summed at C level: the same tuples a Python
+    loop would visit, with no memo and no budget, times k.
     """
     if u.rank != 0:
         raise ValueError(f"fixed-locus enumeration needs a rank-0 class, got rank {u.rank}")
@@ -56,10 +58,7 @@ def slice_euler_bruteforce(r: int, u: ChernClass) -> int:
     if k < 1:
         raise ValueError("quotient degree must be >= 1")
     ends = {0, k}
-    total = 0
-    for sums in combinations_with_replacement(range(k + 1), r - 1):
-        if ends.issuperset(sums):
-            total += k
+    total = k * sum(map(ends.issuperset, combinations_with_replacement(range(k + 1), r - 1)))
     if total != r * k:
         raise RuntimeError(
             f"fixed-locus enumeration for (r,k)=({r},{k}) gave {total}, "
@@ -122,18 +121,9 @@ def wall_components(query: InvariantQuery) -> list[WallComponent]:
         dim = quot_dimension(r, a, u_m)
         if dim != query.w // m:
             raise RuntimeError(f"component m={m} has dimension {dim}, expected w/m = {query.w // m}")
-        euler = slice_euler_bruteforce(r, u_m) if u_m.rank == 0 else dim
-        components.append(
-            WallComponent(
-                divisor=m,
-                twist=h,
-                quotient_class=u_m,
-                dim=dim,
-                stab_order=torsion_order(dim),
-                slice_euler=euler,
-                supported=u_m.rank in (0, r - 1),
-            )
-        )
+        rank = u_m.rank
+        euler = slice_euler_bruteforce(r, u_m) if rank == 0 else dim
+        components.append(WallComponent(m, h, u_m, dim, torsion_order(dim), euler, rank in (0, r - 1)))
     return components
 
 

@@ -3,8 +3,10 @@
 Each case runs ``qminv.cli.main(argv)`` in-process and is compared with
 ``tests/golden/<name>.json``: stdout, stderr, the exit code and the file
 written by ``--out`` (the ``OUT`` token in argv is replaced by a fresh
-path).  The corpus is the CLI's one output contract: a command it runs
-gets no second, hand-written check in ``tests/test_cli.py``.  It covers
+path).  Each case must also hand its caller's int-to-str digit limit
+back; ``run_case`` raises otherwise.  The corpus is the CLI's one output
+contract: a command it runs gets no second, hand-written check in
+``tests/test_cli.py``.  It covers
 exits 0, 3 and 4 only.  Exits 1 and 2 need a failure that a working
 program cannot replay (a failed selfcheck or a closed stdout, a route
 disagreement or an internal check), so ``tests/test_cli.py`` owns them
@@ -231,11 +233,25 @@ CASES: dict[str, list[str]] = {
 }
 
 
+# the int-to-str digit limit a case's caller holds, which cli.main must hand
+# back: not CPython's default of 4300, and below the 4339 digits of
+# invariant_moduli_g7200_json, so that a main that does not lift it fails there
+CALLER_DIGIT_LIMIT = 4000
+
+
 def run_case(argv: list[str], out_path: Path) -> dict:
-    """Run one case in-process; returns exit code, streams and --out content."""
+    """Run one case in-process; returns exit code, streams and --out content.
+
+    Where the interpreter has an int-to-str digit limit, the case runs under
+    ``CALLER_DIGIT_LIMIT``, and a case that leaves another limit behind
+    raises ``RuntimeError``.
+    """
     argv = [str(out_path) if arg == "OUT" else arg for arg in argv]
     saved = os.environ.get("COLUMNS")
     os.environ["COLUMNS"] = "80"
+    saved_limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if saved_limit is not None:
+        sys.set_int_max_str_digits(CALLER_DIGIT_LIMIT)
     stdout, stderr = io.StringIO(), io.StringIO()
     try:
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
@@ -245,6 +261,11 @@ def run_case(argv: list[str], out_path: Path) -> dict:
             os.environ.pop("COLUMNS", None)
         else:
             os.environ["COLUMNS"] = saved
+        if saved_limit is not None:
+            left = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(saved_limit)
+    if saved_limit is not None and left != CALLER_DIGIT_LIMIT:
+        raise RuntimeError(f"cli.main left the int-to-str digit limit at {left}, not {CALLER_DIGIT_LIMIT}")
     out_file = out_path.read_text(encoding="utf-8") if out_path.exists() else None
     return {
         "exit": code,

@@ -1,6 +1,7 @@
 """Invariant evaluation on both routes and the series identities."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -25,7 +26,7 @@ from qminv.invariants import (
     series_identity_even,
     series_identity_odd,
 )
-from qminv.quotloc import normal_bundle_inverse_expansion
+from qminv.quotloc import normal_bundle_inverse_expansion, wall_components
 
 F = Fraction
 
@@ -94,6 +95,71 @@ class TestOracle:
         assert result.value_t == 2 * sigma_minus_one(5)
 
 
+def _assert_one_denominator_sum(result):
+    # the value is the breakdown's Fraction sum, reduced, and every entry
+    # stays a Fraction
+    assert all(type(c) is Fraction for _, c in result.breakdown)
+    assert type(result.value_t) is Fraction
+    assert result.value_t == sum((c for _, c in result.breakdown), Fraction(0))
+    assert gcd(result.value_t.numerator, result.value_t.denominator) == 1
+
+
+class TestOneDenominatorSum:
+    """The oracle sums its breakdown over one common denominator."""
+
+    @pytest.mark.parametrize("g", [2, 3, 5])
+    def test_rank_two_grid(self, g):
+        for w in range(1, 61):
+            _assert_one_denominator_sum(qm_elliptic_oracle(q2(w % 2, w, g)))
+
+    @pytest.mark.parametrize("r, a", [(3, 2), (5, 2), (5, 3), (5, 4)])
+    def test_permissive_prime_ranks_off_a_one(self, r, a):
+        values = []
+        for d in range(r):
+            for w in range(1, 31):
+                result = qm_elliptic_oracle(InvariantQuery(r, d, a, w, 3), strict=False)
+                _assert_one_denominator_sum(result)
+                values.append(result.value_t)
+        # some value has a denominator the sum had to reduce to
+        assert any(v.denominator > 1 for v in values)
+
+    @pytest.mark.parametrize("r, a", [(4, 1), (4, 3), (6, 1), (6, 5)])
+    def test_permissive_composite_ranks(self, r, a):
+        unsupported = 0
+        for d in range(r):
+            for w in range(1, 25):
+                query = InvariantQuery(r, d, a, w, 2)
+                unsupported += sum(not c.supported for c in wall_components(query))
+                _assert_one_denominator_sum(qm_elliptic_oracle(query, strict=False))
+        assert unsupported > 0
+
+    def test_off_the_congruence_is_the_integer_zero(self):
+        result = qm_elliptic_oracle(q2(0, 5))
+        assert result.breakdown == ()
+        assert (result.value_t.numerator, result.value_t.denominator) == (0, 1)
+        _assert_one_denominator_sum(result)
+
+    def test_fractions_built_per_query(self, monkeypatch):
+        # at most three Fractions per component (the pole, its negation and
+        # the contribution) and one for the sum; a Fraction sum adds one more
+        # per component
+        query = q2(0, 12, g=3)
+        n = len(wall_components(query))
+        counter = [0]
+        new = Fraction.__dict__["__new__"].__func__
+
+        def counting_new(cls, *args, **kwargs):
+            counter[0] += 1
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        result = qm_elliptic_oracle(query)
+        monkeypatch.undo()
+        assert result.value_t == F(28, 3)
+        assert n == 6
+        assert 0 < counter[0] <= 3 * n + 1
+
+
 class TestInvariantResultRecord:
     def test_keyword_construction_is_read_only(self):
         result = InvariantResult(
@@ -121,6 +187,19 @@ class TestModuliSide:
                 elliptic = qm_elliptic_oracle(query)
                 moduli = qm_moduli(query, route=ROUTE_ORACLE)
                 assert moduli.value_t == F(2) ** (2 * g) * elliptic.value_t
+
+    @pytest.mark.parametrize("route", ["closed_form", ROUTE_ORACLE])
+    def test_integer_factor_keeps_fractions(self, route):
+        # r^(2g) is an int; the scaled value and entries stay Fractions, equal
+        # to a Fraction factor's
+        for query in (q2(1, 6, 3), InvariantQuery(3, 0, 1, 9, 2), InvariantQuery(5, 2, 2, 4, 4)):
+            base = qm_elliptic(query, route=route, strict=False)
+            moduli = qm_moduli(query, route=route, strict=False)
+            factor = Fraction(query.r) ** (2 * query.g)
+            assert type(moduli.value_t) is Fraction
+            assert moduli.value_t == base.value_t * factor
+            assert all(type(c) is Fraction for _, c in moduli.breakdown)
+            assert moduli.breakdown == tuple((m, c * factor) for m, c in base.breakdown)
 
     def test_needs_prime_rank(self):
         query = InvariantQuery(r=9, d=1, a=1, w=1, g=2)

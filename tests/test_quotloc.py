@@ -123,6 +123,7 @@ class TestSliceEuler:
         monkeypatch.setattr(quotloc, "combinations_with_replacement", recording)
         assert slice_euler_bruteforce(r, ChernClass(0, k)) == r * k == 15
         assert len(visited) == len(set(visited)) == comb(k + r - 1, r - 1)
+        assert visited == list(itertools.combinations_with_replacement(range(k + 1), r - 1))
 
         def skip_first(pool, n):
             # drops (0, 0): the decomposition whose last part is k
