@@ -22,9 +22,9 @@ fields from one ``Fraction``.  The ``QSeries`` product skips zero
 factors and ``scale`` skips zero coefficients, so each builds a new
 ``Fraction`` only where a nonzero value needs one; a skipped zero stays
 the module's shared zero.
-``parity_part`` keeps the terms of one parity of the exponent and puts
-the shared zero at the others, with no arithmetic: it is half of
-``U(q) +- U(-q)``, without the terms that cancel.
+``sigma_sieve`` is the one integer sieve of the divisor sums sigma_1(w):
+``series_log_product`` builds the eta-log on it, and the series
+identities read it directly, one ``Fraction`` per coefficient they keep.
 """
 
 from __future__ import annotations
@@ -122,16 +122,6 @@ class QSeries:
         c = _as_fraction(c)
         return QSeries(tuple(c * coeff if coeff else _ZERO for coeff in self.coeffs))
 
-    def parity_part(self, p: int) -> "QSeries":
-        """The terms at exponents w = p mod 2, with the shared zero elsewhere.
-
-        Twice ``parity_part(1)`` is ``self - self.negate_variable()`` and
-        twice ``parity_part(0)`` is ``self + self.negate_variable()``.
-        """
-        coeffs = [_ZERO] * len(self.coeffs)
-        coeffs[p % 2 :: 2] = self.coeffs[p % 2 :: 2]
-        return QSeries(coeffs)
-
     def negate_variable(self) -> "QSeries":
         """Substitute q -> -q, flipping the sign of odd coefficients."""
         return QSeries(
@@ -151,19 +141,30 @@ class QSeries:
         return out
 
 
-def series_log_product(order: int) -> QSeries:
-    """log of the Euler product prod_{k>=1} (1 - q**k), truncated at q**order.
+def sigma_sieve(order: int) -> list[int]:
+    """The divisor sums sigma_1(w) = sum_{m | w} m for w = 0..order, as ints.
 
-    Expanded termwise: log(1 - q**k) = -sum_j q**(k*j) / j, so the
-    coefficient of q**w is -sum_{m | w} 1/m = -sigma_1(w) / w.  The loop
-    sums the integers sigma_1(w) (the term 1/j of q**(k*j) is k/w) and
-    builds one ``Fraction`` per coefficient.  The constant term is 0.
-    An order below 1 leaves only that term, which ``QSeries`` refuses.
+    Each k adds itself at its multiples k*j <= order, so the entry at 0
+    stays 0; an order below 0 gives the empty list.
     """
     sigma = [0] * (order + 1)
     for k in range(1, order + 1):
         for j in range(1, order // k + 1):
             sigma[k * j] += k
+    return sigma
+
+
+def series_log_product(order: int) -> QSeries:
+    """log of the Euler product prod_{k>=1} (1 - q**k), truncated at q**order.
+
+    Expanded termwise: log(1 - q**k) = -sum_j q**(k*j) / j, so the
+    coefficient of q**w is -sum_{m | w} 1/m = -sigma_1(w) / w (the term
+    1/j of q**(k*j) is k/w), with the integers sigma_1(w) read from
+    ``sigma_sieve`` and one ``Fraction`` per coefficient.  The constant
+    term is 0.  An order below 1 leaves only that term, which ``QSeries``
+    refuses.
+    """
+    sigma = sigma_sieve(order)
     return QSeries((_ZERO, *(Fraction(-sigma[w], w) for w in range(1, order + 1))))
 
 

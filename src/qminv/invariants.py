@@ -18,8 +18,8 @@ Vafa-Witten invariant of the product surface.  ``_gate`` is the home of
 the proven-set rule: every w >= 1 route calls it, and the closed form's
 value and breakdown read its one scan of the divisors of w.  The series
 identities read one moduli-side value per coefficient from the same
-kernel as ``qm_elliptic_closed``: r^(2g) times its ``value_t``, with no
-breakdown.
+kernel as ``qm_elliptic_closed``, with the factor r^(2g) inside its one
+``Fraction`` and no breakdown.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .arith import InvariantQuery, divisors, is_prime
-from .exactalg import _ZERO, QSeries, series_log_product
+from .exactalg import _ZERO, QSeries, sigma_sieve
 from .quotloc import component_residue_degree, wall_components
 
 ROUTE_CLOSED = "closed_form"
@@ -93,12 +93,13 @@ def unproven_reason(query: InvariantQuery) -> str | None:
     return _gate(query, strict=False)[0]
 
 
-def _closed_form(query: InvariantQuery, strict: bool) -> tuple[Fraction, list[int], bool]:
-    """The closed form's value_t, the divisors it sums over and the conjectural flag.
+def _closed_form(query: InvariantQuery, strict: bool, factor: int = 1) -> tuple[Fraction, list[int], bool]:
+    """The closed form's value_t times ``factor``, its divisors and the conjectural flag.
 
     The value reads ``_gate``'s scan; only a composite rank, evaluated in
     permissive mode, scans again, and off the congruence w = d*a mod r
-    the value is 0 over no divisor.
+    the value is 0 over no divisor.  The integer ``factor`` enters the
+    numerator of the value's one ``Fraction``.
     """
     reason, divs = _gate(query, strict)
     conjectural = reason is not None
@@ -107,7 +108,7 @@ def _closed_form(query: InvariantQuery, strict: bool) -> tuple[Fraction, list[in
     divs = divs or divisors(query.w)
     # sum_{m|w} 1/m = sum_{m|w} (w/m) / w = sigma_1(w) / w: one integer
     # sum and a single Fraction.
-    return Fraction((2 * query.g - 2) * sum(divs), query.w), divs, conjectural
+    return Fraction((2 * query.g - 2) * sum(divs) * factor, query.w), divs, conjectural
 
 
 def qm_elliptic_closed(query: InvariantQuery, strict: bool = True) -> InvariantResult:
@@ -203,26 +204,30 @@ def _series_identity(g: int, order: int, d: int) -> SeriesIdentity:
     """Rank-2 moduli-side invariants of base degree d against the eta-log.
 
     The left side collects the w = d mod 2 coefficients (w >= 1), each the
-    moduli-side value 2^(2g) times the closed form's ``value_t``, read from
-    the closed form's own kernel with no breakdown, which the identity
-    never reads.  It never comes from the sigma sieve of
-    ``series_log_product``, which builds the right side:
-    (2-2g) * 2^(2g-1) * (U(q) -+ U(-q)), with the difference for odd d and
-    the sum for even d.  That is 2 * (2-2g) * 2^(2g-1) times the part of U
-    of d's parity, so the right side is ``U.parity_part(d)`` scaled, and
-    only its surviving coefficients see any arithmetic.  Both sides hold
-    the shared zero at the other parity, which ``==`` compares by identity.
+    moduli-side value: the closed form's ``value_t`` with the factor
+    2^(2g) inside its one ``Fraction``, read from the closed form's own
+    kernel with no breakdown, which the identity never reads.  The right
+    side is (2-2g) * 2^(2g-1) * (U(q) -+ U(-q)) for the eta-log
+    U = ``series_log_product``, with the difference for odd d and the sum
+    for even d.  That is (2-2g) * 2^(2g) times the part of U of d's
+    parity, whose coefficient at w is -sigma_1(w) / w: the right side
+    reads sigma_1(w) from ``sigma_sieve``, never from the closed form, and
+    builds one ``Fraction`` per coefficient of d's parity.  Both sides
+    hold the shared zero at the other parity, which ``==`` compares by
+    identity.
     """
     # the query's genus rule, checked before the loop so that an empty left
     # side is refused too (w = d is a valid degree of either parity)
     query = InvariantQuery(r=2, d=d, a=1, w=d, g=g)
     factor = 2 ** (2 * g)
+    scale = (2 * g - 2) * factor
+    sigma = sigma_sieve(order)
     lhs_coeffs = [_ZERO] * (order + 1)
+    rhs_coeffs = [_ZERO] * (order + 1)
     for w in range(2 - d, order + 1, 2):
-        value, _, _ = _closed_form(InvariantQuery(query.r, d, query.a, w, g), strict=True)
-        lhs_coeffs[w] = value * factor
-    lhs = QSeries(lhs_coeffs)
-    rhs = series_log_product(order).parity_part(d).scale((2 - 2 * g) * 2 ** (2 * g))
+        lhs_coeffs[w] = _closed_form(InvariantQuery(query.r, d, query.a, w, g), strict=True, factor=factor)[0]
+        rhs_coeffs[w] = Fraction(scale * sigma[w], w)
+    lhs, rhs = QSeries(lhs_coeffs), QSeries(rhs_coeffs)
     return SeriesIdentity(lhs, rhs, lhs == rhs)
 
 
@@ -232,7 +237,7 @@ def series_identity_odd(g: int, order: int) -> SeriesIdentity:
     Left side: sum over odd w of the rank-2, d=1 moduli-side invariants.
     Right side: (2-2g) * 2^(2g-1) * (U(q) - U(-q)) with
     U(q) = log prod_{k>=1} (1 - q^k), computed as (2-2g) * 2^(2g) times
-    the odd part of U.
+    the odd part of U, one ``Fraction`` per odd w from the sigma sieve.
     """
     return _series_identity(g, order, d=1)
 
@@ -242,6 +247,7 @@ def series_identity_even(g: int, order: int) -> SeriesIdentity:
 
     Left side: sum over even w >= 2 of the rank-2, d=0 moduli-side
     invariants.  Right side: (2-2g) * 2^(2g-1) * (U(q) + U(-q)), computed
-    as (2-2g) * 2^(2g) times the even part of U.
+    as (2-2g) * 2^(2g) times the even part of U, one ``Fraction`` per
+    even w >= 2 from the sigma sieve.
     """
     return _series_identity(g, order, d=0)

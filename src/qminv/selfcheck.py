@@ -19,7 +19,7 @@ from .arith import (
     sigma_minus_one,
     solve_base_degrees,
 )
-from .exactalg import EquivCoeff, QSeries, laurent_residue, series_log_product
+from .exactalg import EquivCoeff, QSeries, laurent_residue, series_log_product, sigma_sieve
 from .invariants import (
     ROUTE_ORACLE,
     qm_elliptic_closed,
@@ -46,6 +46,10 @@ def _check_eta_log_divisor_sums() -> Check:
         for w in range(1, order + 1)
         if series.coefficient(w) != -sigma_minus_one(w)
     ]
+    # the integer sieve under the eta-log and the series identities' right
+    # side: sigma_1(w) = w * sigma_{-1}(w), one entry per exponent 0..order
+    if sigma_sieve(order) != [0, *(w * sigma_minus_one(w) for w in range(1, order + 1))]:
+        bad.append("sieve")
     return ("eta-log coefficients are -sigma_{-1}(w)", not bad, f"mismatches: {bad}")
 
 
@@ -57,8 +61,12 @@ def _check_negation_parity() -> Check:
     diff, total = u - flipped, u + flipped
     ok = ok and all(diff.coefficient(w) == 0 for w in range(0, order + 1, 2))
     ok = ok and all(total.coefficient(w) == 0 for w in range(1, order + 1, 2))
-    # the series identities' right side takes the parity part instead
-    ok = ok and diff == u.parity_part(1).scale(2) and total == u.parity_part(0).scale(2)
+    # the series identities build their right side from the sigma sieve,
+    # one parity only: it must be the q -> -q form, for both parities
+    for g in (2, 3):
+        prefactor = (2 - 2 * g) * 2 ** (2 * g - 1)
+        ok = ok and series_identity_odd(g, order).rhs == diff.scale(prefactor)
+        ok = ok and series_identity_even(g, order).rhs == total.scale(prefactor)
     return ("variable negation is an involution with clean parity split", ok, "")
 
 

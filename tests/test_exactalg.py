@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from qminv.arith import ChernClass
-from qminv.exactalg import _ZERO, EquivCoeff, QSeries, laurent_residue, series_log_product
+from qminv.exactalg import _ZERO, EquivCoeff, QSeries, laurent_residue, series_log_product, sigma_sieve
 from qminv.quotloc import WallComponent, component_residue_degree, normal_bundle_inverse_expansion
 
 F = Fraction
@@ -55,6 +55,21 @@ class TestSeriesLogProduct:
         assert series_log_product(order).exp() == euler_product(order)
 
 
+class TestSigmaSieve:
+    def test_divisor_sums_by_full_scan(self):
+        order = 120
+        sigma = sigma_sieve(order)
+        assert len(sigma) == order + 1 and sigma[0] == 0
+        for w in range(1, order + 1):
+            assert type(sigma[w]) is int
+            assert sigma[w] == sum(m for m in range(1, w + 1) if w % m == 0)
+
+    def test_small_orders(self):
+        assert sigma_sieve(0) == [0]
+        assert sigma_sieve(1) == [0, 1]
+        assert sigma_sieve(-1) == []
+
+
 class TestNegateVariable:
     def test_flips_odd_coefficients(self):
         s = series_log_product(3)
@@ -76,34 +91,6 @@ class TestNegateVariable:
             assert difference.coefficient(w) == 0
         for w in range(1, 32, 2):
             assert total.coefficient(w) == 0
-
-
-class TestParityPart:
-    """parity_part against the q -> -q route it replaces in the series identities."""
-
-    @pytest.mark.parametrize("order", [1, 2, 17, 30])
-    def test_parts_sum_to_series(self, order):
-        s = series_log_product(order) + QSeries(tuple(F(w, 3) for w in range(order + 1)))
-        assert s.parity_part(0) + s.parity_part(1) == s
-
-    @pytest.mark.parametrize("order", [1, 2, 17, 30])
-    def test_doubled_part_is_sum_or_difference_with_negated_variable(self, order):
-        s = series_log_product(order) + QSeries(tuple(F(w, 3) for w in range(order + 1)))
-        flipped = s.negate_variable()
-        assert s.parity_part(0).scale(2) == s + flipped
-        assert s.parity_part(1).scale(2) == s - flipped
-
-    def test_other_parity_is_the_shared_zero(self):
-        s = QSeries(tuple(range(1, 8)))
-        for p in (0, 1):
-            part = s.parity_part(p)
-            assert all(part.coeffs[w] is _ZERO for w in range(1 - p, 7, 2))
-            assert part.coeffs[p::2] == s.coeffs[p::2]
-
-    def test_parity_is_read_mod_two(self):
-        s = series_log_product(9)
-        assert s.parity_part(3) == s.parity_part(-1) == s.parity_part(1)
-        assert s.parity_part(2) == s.parity_part(-2) == s.parity_part(0)
 
 
 class TestScale:

@@ -11,7 +11,7 @@ from qminv.arith import (
     divisors,
     sigma_minus_one,
 )
-from qminv.exactalg import QSeries, series_log_product
+from qminv.exactalg import _ZERO, series_log_product, sigma_sieve
 from qminv.invariants import (
     ROUTE_ORACLE,
     InvariantResult,
@@ -319,21 +319,61 @@ class TestSeriesIdentities:
         assert not series_identity_even(2, 10).equal
 
     def test_right_side_of_wrong_parity_disagrees(self, monkeypatch):
-        parity_part = QSeries.parity_part
-        monkeypatch.setattr(QSeries, "parity_part", lambda s, p: parity_part(s, p + 1))
+        # a right side that reads sigma_1 at the other parity: the sieve
+        # shifted by one puts sigma_1(w - 1) at w
+        def shifted(order):
+            return [0] + sigma_sieve(order)[:-1]
+
+        monkeypatch.setattr(invariants, "sigma_sieve", shifted)
         assert not series_identity_odd(2, 9).equal
         assert not series_identity_even(2, 10).equal
 
     def test_right_side_reads_every_eta_log_coefficient(self, monkeypatch):
-        # perturb the top coefficient, which has the identity's parity
+        # perturb the sieve at the top coefficient, which has the identity's parity
         def perturbed(order):
-            coeffs = list(series_log_product(order).coeffs)
-            coeffs[order] += F(1, order)
-            return QSeries(coeffs)
+            sigma = sigma_sieve(order)
+            sigma[order] += 1
+            return sigma
 
-        monkeypatch.setattr(invariants, "series_log_product", perturbed)
+        monkeypatch.setattr(invariants, "sigma_sieve", perturbed)
         assert not series_identity_odd(2, 9).equal
         assert not series_identity_even(2, 10).equal
+
+    @pytest.mark.parametrize("g", [2, 3, 4, 5])
+    @pytest.mark.parametrize("d", [0, 1])
+    def test_right_side_is_the_negated_variable_form(self, g, d):
+        # the right side reads one parity of the sieve; pin it to
+        # (2-2g) * 2^(2g-1) * (U(q) -+ U(-q)), built through q -> -q
+        identity = series_identity_odd if d else series_identity_even
+        prefactor = (2 - 2 * g) * 2 ** (2 * g - 1)
+        for order in range(1, 61):
+            u = series_log_product(order)
+            flipped = u.negate_variable()
+            check = identity(g, order)
+            assert check.rhs == ((u - flipped) if d else (u + flipped)).scale(prefactor)
+            assert all(type(c) is Fraction for c in check.rhs.coeffs)
+            # both sides hold the shared zero at the other parity
+            for side in (check.lhs, check.rhs):
+                assert all(side.coeffs[w] is _ZERO for w in range(1 - d, order + 1, 2))
+
+    @pytest.mark.parametrize("d", [0, 1])
+    @pytest.mark.parametrize("order", [1, 2, 59, 60])
+    def test_fractions_built_per_identity(self, monkeypatch, d, order):
+        # one Fraction per coefficient of d's parity on each side: no
+        # intermediate series, no product by the moduli factor
+        counter = [0]
+        new = Fraction.__dict__["__new__"].__func__
+
+        def counting_new(cls, *args, **kwargs):
+            counter[0] += 1
+            return new(cls, *args, **kwargs)
+
+        identity = series_identity_odd if d else series_identity_even
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        check = identity(3, order)
+        monkeypatch.undo()
+        assert check.equal
+        assert counter[0] <= order + 2
 
 
 class TestOneDivisorScan:

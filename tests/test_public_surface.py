@@ -59,6 +59,7 @@ def test_exported_names():
         ("exactalg", "EquivCoeff"),
         ("exactalg", "laurent_residue"),
         ("exactalg", "series_log_product"),
+        ("exactalg", "sigma_sieve"),
         ("invariants", "degree_congruent"),
         ("quotloc", "component_residue_degree"),
         ("quotloc", "normal_bundle_inverse_expansion"),

@@ -114,10 +114,7 @@ REASONS = {
     "exactalg.QSeries.exp: range(1, n + 1) -> range(1, n + 2)":
         "equivalent: the extra term self**(n+1)/(n+1)! starts at q**(n+1),"
         " because the constant term is 0, so it is zero at truncation n",
-    "exactalg.series_log_product: sigma = [0] * (order + 1) -> sigma = [0] * (order + 2)":
-        "equivalent: the extra slot sigma[order+1] is never written (k*j <= order)"
-        " nor read",
-    "exactalg.series_log_product: range(1, order + 1) -> range(1, order + 2)":
+    "exactalg.sigma_sieve: range(1, order + 1) -> range(1, order + 2)":
         "equivalent: the extra k = order + 1 has the empty inner loop"
         " range(1, order // k + 1) = range(1, 1)",
 }
