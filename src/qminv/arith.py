@@ -1,11 +1,12 @@
 """Number-theoretic and elliptic-torsion primitives.
 
-Divisor enumeration and the divisor sum sigma_{-1}(w) = sum_{m|w} 1/m are
-the kernel of every positive-degree invariant.  The rest of the module
-fixes the bookkeeping of a query: the normalisation class of a
-(rank, degree) pair, the integer system that transports the quasimap
-degree w into the base-direction Chern components (c1, ch2) of the
-associated sheaf, and torsion subgroup orders E[n] = n^2.
+Divisor enumeration is the kernel of every positive-degree invariant: the
+closed form reads sum_{m|w} 1/m as ``sum(divisors(w)) / w``, and no
+sigma_{-1} function exists.  The rest of the module fixes the bookkeeping
+of a query: the normalisation class of a (rank, degree) pair, the integer
+system that transports the quasimap degree w into the base-direction
+Chern components (c1, ch2) of the associated sheaf, and torsion subgroup
+orders E[n] = n^2.
 ``InvariantQuery`` is the one home of the input rules: a step that
 needs a rule on r, a or g (the gcd, the genus bound) builds a query
 rather than restating it.
@@ -16,7 +17,6 @@ from __future__ import annotations
 import math
 import operator
 from collections import namedtuple
-from fractions import Fraction
 
 # the largest rank and quasimap degree a query takes: divisors(w) and
 # is_prime(r) trial-divide up to the square root, at most 10**6 steps
@@ -40,11 +40,6 @@ def divisors(w: int) -> list[int]:
                 large.append(w // d)
         d += 1
     return small + large[::-1]
-
-
-def sigma_minus_one(w: int) -> Fraction:
-    """sum_{m | w} 1/m as an exact rational."""
-    return sum((Fraction(1, m) for m in divisors(w)), Fraction(0))
 
 
 def is_prime(n: int) -> bool:

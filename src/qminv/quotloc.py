@@ -20,12 +20,15 @@ conjectural for them; whether a query may use them is decided once, by
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .arith import ChernClass, InvariantQuery, divisors, solve_base_degrees, torsion_order
 from .exactalg import EquivCoeff, laurent_residue
+
+_MAX_SLICE_VISITS = 10**8  # about 10 s of slice brute force, at some 10**7 decompositions a second
 
 
 def quot_dimension(r: int, a: int, u: ChernClass) -> int:
@@ -106,14 +109,19 @@ class WallComponent(namedtuple("WallComponent", "divisor twist quotient_class di
 
 
 def wall_components(query: InvariantQuery) -> list[WallComponent]:
-    """Enumerate the wall components of a degree-w >= 1 query: one per m | w, none if c1 != d mod r."""
+    """Enumerate the wall components of a degree-w >= 1 query: one per m | w, none if c1 != d mod r.
+
+    Before any brute force, ``ValueError`` refuses a query whose rank-0 classes (0, k) would make the
+    slice brute force visit more than ``_MAX_SLICE_VISITS`` decompositions, C(k + r - 1, r - 1) each.
+    A class with min(k, r - 1) above the budget's bit length b counts C(k + r - 1, b) >= 2**b instead.
+    """
     if query.w < 1:
         raise ValueError("wall components exist only for quasimap degree w >= 1")
     r, a = query.r, query.a
     c1, ch2 = solve_base_degrees(r, a, query.w)
     if c1 % r != query.d % r:
         return []
-    components = []
+    classes, visits = [], 0
     for m in divisors(query.w):
         x1, x2 = c1 // m, ch2 // m
         h = -(-x1 // r)
@@ -121,10 +129,13 @@ def wall_components(query: InvariantQuery) -> list[WallComponent]:
         dim = quot_dimension(r, a, u_m)
         if dim != query.w // m:
             raise RuntimeError(f"component m={m} has dimension {dim}, expected w/m = {query.w // m}")
-        rank = u_m.rank
-        euler = slice_euler_bruteforce(r, u_m) if rank == 0 else dim
-        components.append(WallComponent(m, h, u_m, dim, torsion_order(dim), euler, rank in (0, r - 1)))
-    return components
+        visits += math.comb(u_m.deg + r - 1, min(u_m.deg, r - 1, _MAX_SLICE_VISITS.bit_length())) if u_m.rank == 0 else 0
+        classes.append((m, h, u_m, dim))
+    if visits > _MAX_SLICE_VISITS:
+        raise ValueError(f"the slice brute force for r={r}, w={query.w} would visit at least {visits} decompositions, "
+                         f"above the budget of {_MAX_SLICE_VISITS}: use --route closed")
+    return [WallComponent(m, h, u, dim, torsion_order(dim), slice_euler_bruteforce(r, u) if u.rank == 0 else dim, u.rank in (0, r - 1))
+            for m, h, u, dim in classes]
 
 
 def component_residue_degree(component: WallComponent, genus: int) -> Fraction:

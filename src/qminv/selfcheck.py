@@ -16,7 +16,7 @@ from .arith import (
     ChernClass,
     InvariantQuery,
     canonical_u_choice,
-    sigma_minus_one,
+    divisors,
     solve_base_degrees,
 )
 from .exactalg import EquivCoeff, QSeries, laurent_residue, series_log_product, sigma_sieve
@@ -39,16 +39,12 @@ Check = tuple[str, bool, str]
 
 
 def _check_eta_log_divisor_sums() -> Check:
+    # the two routes' sigma_1: the closed form's divisor scan against the sieve the series reads
     order = 40
+    scan = [0, *(sum(divisors(w)) for w in range(1, order + 1))]
     series = series_log_product(order)
-    bad = [
-        w
-        for w in range(1, order + 1)
-        if series.coefficient(w) != -sigma_minus_one(w)
-    ]
-    # the integer sieve under the eta-log and the series identities' right
-    # side: sigma_1(w) = w * sigma_{-1}(w), one entry per exponent 0..order
-    if sigma_sieve(order) != [0, *(w * sigma_minus_one(w) for w in range(1, order + 1))]:
+    bad = [w for w in range(1, order + 1) if series.coefficient(w) * w != -scan[w]]
+    if sigma_sieve(order) != scan:
         bad.append("sieve")
     return ("eta-log coefficients are -sigma_{-1}(w)", not bad, f"mismatches: {bad}")
 
@@ -106,12 +102,9 @@ def _check_degree_solver() -> Check:
 
 
 def _check_sigma_identities() -> Check:
-    ok = True
-    for w in range(1, 401):
-        brute = sum(m for m in range(1, w + 1) if w % m == 0)
-        ok = ok and sigma_minus_one(w) * w == brute
-    for a, b in [(4, 9), (3, 5), (8, 27), (5, 7), (9, 16)]:
-        ok = ok and sigma_minus_one(a * b) == sigma_minus_one(a) * sigma_minus_one(b)
+    ok = all(sum(divisors(w)) == sum(m for m in range(1, w + 1) if w % m == 0) for w in range(1, 401))
+    coprime = [(4, 9), (3, 5), (8, 27), (5, 7), (9, 16)]
+    ok = ok and all(sum(divisors(a * b)) == sum(divisors(a)) * sum(divisors(b)) for a, b in coprime)
     return ("divisor sums: sigma identities and multiplicativity", ok, "")
 
 
@@ -137,7 +130,7 @@ def _check_component_ledger() -> Check:
             ok = ok and (unproven_reason(query) is None) == all(c.supported for c in components)
             for c in components:
                 ok = ok and c.stab_order == c.dim**2
-                ok = ok and c.dim * Fraction(c.slice_euler, c.stab_order) == 1
+                ok = ok and c.dim * c.slice_euler == c.stab_order
                 ok = ok and c.dim == w // c.divisor
     return ("wall components: stabilizer and Euler ledger", ok, "")
 
@@ -189,7 +182,7 @@ def _check_correspondence_factor() -> Check:
             query = InvariantQuery(r=2, d=w % 2, a=1, w=w, g=g)
             elliptic = qm_elliptic_oracle(query)
             moduli = qm_moduli(query, route=ROUTE_ORACLE)
-            ok = ok and moduli.value_t == elliptic.value_t * Fraction(2) ** (2 * g)
+            ok = ok and moduli.value_t == elliptic.value_t * 2 ** (2 * g)
     return ("moduli-side values carry the r^(2g) factor", ok, "")
 
 

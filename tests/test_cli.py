@@ -703,6 +703,27 @@ class TestSelfcheckCommand:
         name, ok, _ = selfcheck._check_exp_euler_product()
         assert (name, ok) == ("exp of the eta-log recovers the Euler product", False)
 
+    @pytest.mark.parametrize("index", [-1, 17], ids=["top", "interior"])
+    def test_divisor_sum_check_sees_a_perturbed_sieve(self, monkeypatch, index):
+        real = selfcheck.sigma_sieve
+
+        def perturbed(order):
+            sigma = real(order)
+            sigma[index] += 1
+            return sigma
+
+        monkeypatch.setattr(selfcheck, "sigma_sieve", perturbed)
+        name, ok, detail = selfcheck._check_eta_log_divisor_sums()
+        assert (name, ok, detail) == ("eta-log coefficients are -sigma_{-1}(w)", False, "mismatches: ['sieve']")
+
+    def test_divisor_sum_checks_see_a_short_divisor_scan(self, monkeypatch):
+        # the closed form's kernel without w itself: every sum is short by w
+        real = selfcheck.divisors
+        monkeypatch.setattr(selfcheck, "divisors", lambda w: real(w)[:-1])
+        assert selfcheck._check_sigma_identities()[1] is False
+        name, ok, detail = selfcheck._check_eta_log_divisor_sums()
+        assert not ok and detail == f"mismatches: {[*range(1, 41), 'sieve']}"
+
 
 class TestColdStart:
     def test_cli_import_skips_dataclasses_and_selfcheck(self):

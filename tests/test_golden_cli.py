@@ -225,6 +225,13 @@ CASES: dict[str, list[str]] = {
     "sweep_exit4_w_max_too_large": (
         ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", str(10 ** 19), "--g", "2"]),
     "selfcheck": ["selfcheck"],
+    # r = 7, w = 7^4 is proven, and its rank-0 classes (0, 343), (0, 49), (0, 7), (0, 1) would send
+    # 2403590750354 decompositions through the slice brute force: the oracle refuses before it
+    # starts, the closed form answers, and a sweep keeps the points it printed before it
+    "invariant_exit4_slice_budget": ["invariant", "-r", "7", "-d", "0", "-a", "1", "-w", "2401", "-g", "2"],
+    "invariant_closed_slice_budget_table": (
+        ["invariant", "-r", "7", "-d", "0", "-a", "1", "-w", "2401", "-g", "2", "--route", "closed"]),
+    "sweep_exit4_slice_budget_partial": ["sweep", "-r", "7", "-d", "0", "-a", "1", "--w-list", "7,2401", "--g", "2"],
     # the slowest case (the divisors of 10**12) comes last, so that a mutant
     # that fails an earlier case is judged without it
     "invariant_closed_w_at_bound_json": (
@@ -291,18 +298,33 @@ def test_golden_case(name, tmp_path):
     assert run_case(CASES[name], tmp_path / "out.json") == expected
 
 
-def test_mutation_stage1_passes_on_clean_tree():
-    # tools/mutate.py's first detector replays this corpus; run it as the
-    # tool does, so that the two cannot drift apart
+def _mutate_tool():
     root = Path(__file__).resolve().parent.parent
     spec = importlib.util.spec_from_file_location("mutate", root / "tools" / "mutate.py")
     mutate = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutate)
+    return root, mutate
+
+
+def test_mutation_stage1_passes_on_clean_tree():
+    # tools/mutate.py's first detector replays this corpus; run it as the
+    # tool does, so that the two cannot drift apart
+    root, mutate = _mutate_tool()
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
     proc = subprocess.run(
         [sys.executable, "-c", mutate.STAGE1], cwd=root, env=env, capture_output=True, text=True, timeout=120
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "", "")
+
+
+def test_mutation_reasons_without_a_mutant_are_stale():
+    # the tool reports such a reason as STALE and exits 1; the keys here are
+    # the reasons' own, not the current source's, which a mutant changes
+    _, mutate = _mutate_tool()
+    keys = list(mutate.REASONS)
+    assert mutate.stale_reasons(iter(keys)) == []
+    assert mutate.stale_reasons(keys[1:]) == keys[:1]
+    assert mutate.stale_reasons([]) == keys
 
 
 def test_corpus_module_imports_no_pytest():

@@ -9,7 +9,6 @@ import qminv.invariants as invariants
 from qminv.arith import (
     InvariantQuery,
     divisors,
-    sigma_minus_one,
 )
 from qminv.exactalg import _ZERO, series_log_product, sigma_sieve
 from qminv.invariants import (
@@ -92,7 +91,7 @@ class TestOracle:
         query = InvariantQuery(r=3, d=2, a=1, w=5, g=2)
         result = qm_elliptic_oracle(query, strict=False)
         assert result.conjectural
-        assert result.value_t == 2 * sigma_minus_one(5)
+        assert result.value_t == F(12, 5)
 
 
 def _assert_one_denominator_sum(result):
@@ -435,7 +434,7 @@ class TestConjecturalFormula:
         assert result.conjectural
         compatible = InvariantQuery(r=5, d=2, a=2, w=4, g=2)
         result = qm_moduli(compatible, strict=False)
-        assert result.value_t == 2 * F(5) ** 4 * sigma_minus_one(4)
+        assert result.value_t == F(4375, 2)
         assert result.conjectural
 
     def test_matches_moduli_closed_form_when_proven(self):

@@ -53,7 +53,6 @@ def test_exported_names():
         ("arith", "canonical_u_choice"),
         ("arith", "divisors"),
         ("arith", "is_prime"),
-        ("arith", "sigma_minus_one"),
         ("arith", "solve_base_degrees"),
         ("arith", "torsion_order"),
         ("exactalg", "EquivCoeff"),

@@ -314,6 +314,59 @@ class TestWallComponents:
                     assert [tuple(c) for c in comps] == expected
 
 
+class TestSliceBudget:
+    # r = 3, w = 81: the rank-0 classes (0, 27), (0, 9), (0, 3), (0, 1) visit
+    # 406 + 55 + 10 + 3 = 474 decompositions; the largest alone is under 473
+    QUERY = InvariantQuery(r=3, d=0, a=1, w=81, g=2)
+
+    def _record_visits(self, monkeypatch):
+        visited = []
+
+        def recording(pool, n):
+            for sums in itertools.combinations_with_replacement(pool, n):
+                visited.append(sums)
+                yield sums
+
+        monkeypatch.setattr(quotloc, "combinations_with_replacement", recording)
+        return visited
+
+    def test_budget_is_the_total_the_brute_force_visits(self, monkeypatch):
+        visited = self._record_visits(monkeypatch)
+        monkeypatch.setattr(quotloc, "_MAX_SLICE_VISITS", 474)
+        ks = [c.quotient_class.deg for c in wall_components(self.QUERY) if c.quotient_class.rank == 0]
+        assert ks == [27, 9, 3, 1]
+        assert len(visited) == sum(comb(k + 2, 2) for k in ks) == 474
+
+    def test_one_below_the_total_is_refused_before_any_visit(self, monkeypatch):
+        visited = self._record_visits(monkeypatch)
+        monkeypatch.setattr(quotloc, "_MAX_SLICE_VISITS", 473)
+        message = "would visit at least 474 decompositions, above the budget of 473: use --route closed"
+        with pytest.raises(ValueError, match=message):
+            wall_components(self.QUERY)
+        with pytest.raises(ValueError, match=message):
+            qm_elliptic_oracle(self.QUERY)
+        assert visited == []
+
+    def test_large_classes_count_a_lower_bound(self):
+        # r = 999983 is prime and w = r^2 proven: the class (0, r) would visit
+        # C(2r - 1, r - 1) decompositions, counted as C(2r - 1, 27) >= 2**27,
+        # 27 the budget's bit length, and the class (0, 1) as r
+        r = 999983
+        assert quotloc._MAX_SLICE_VISITS.bit_length() == 27
+        with pytest.raises(ValueError) as refused:
+            wall_components(InvariantQuery(r=r, d=0, a=1, w=r * r, g=2))
+        assert f"would visit at least {comb(2 * r - 1, 27) + r} decompositions" in str(refused.value)
+
+    def test_largest_bench_query_is_far_under_the_budget(self, monkeypatch):
+        # the rank_deep workload's r = 2, w = 2^16: classes (0, 2^i) for i < 16,
+        # C(2^i + 1, 1) each, 65551 in all
+        query = InvariantQuery(r=2, d=0, a=1, w=2**16, g=2)
+        assert len(wall_components(query)) == 17
+        monkeypatch.setattr(quotloc, "_MAX_SLICE_VISITS", 65550)
+        with pytest.raises(ValueError, match="would visit at least 65551 decompositions"):
+            wall_components(query)
+
+
 class TestComponentResidueDegree:
     def test_examples(self):
         comps = {

@@ -34,11 +34,12 @@ whose clean run takes about 10 s.  The unmutated modules are
 round-tripped through ``ast.unparse`` and must pass both stages first;
 otherwise the run aborts with exit 2.
 The report, ``tools/mutants.txt``, lists the score, then each survivor
-with the reason recorded for it in ``REASONS`` below; the run exits 1 if
-a survivor has none.  The score leaves the explained (equivalent)
-survivors out of the denominator, so deleting killed code cannot lower
-it; the raw counts follow on their own line, then killed / all per
-module, with the stage-1 kills in brackets.  After the survivors, a
+with the reason recorded for it in ``REASONS`` below, then as ``STALE``
+each reason whose key names no mutant of the current source; the run
+exits 1 if a survivor has no reason or a reason is stale.  The score
+leaves the explained (equivalent) survivors out of the denominator, so
+deleting killed code cannot lower it; the raw counts follow on their own
+line, then killed / all per module, with the stage-1 kills in brackets.  After the survivors, a
 ``stage 2 kills:`` section names, one key per line, each mutant that only
 the tier-1 suite killed: the faults a user with the CLI and ``selfcheck``
 alone would not see.  To score another checkout,
@@ -247,6 +248,12 @@ def mutants(sources: dict[str, str]):
             yield module, line, key, text
 
 
+def stale_reasons(keys) -> list[str]:
+    """The ``REASONS`` keys, in their order, that name none of the mutant keys given."""
+    keys = set(keys)
+    return [key for key in REASONS if key not in keys]
+
+
 def _limit_memory():
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_LIMIT, MEMORY_LIMIT))
 
@@ -325,6 +332,7 @@ def main() -> int:
     planned = Counter(module for module, *_ in plan)
     alive = Counter(module for module, _, _ in survivors)
     unexplained = [key for _, _, key in survivors if key not in REASONS]
+    stale = stale_reasons(key for _, _, key, _ in plan)
     scored = total - (len(survivors) - len(unexplained))
     lines = [
         "# Single-site mutation run over src/qminv/{" + ",".join(MODULES) + "}.py.",
@@ -335,16 +343,19 @@ def main() -> int:
         + ", ".join(f"{m} {planned[m] - alive[m]}/{planned[m]} [{killed[m, 1]}]" for m in MODULES),
         f"stage 1 (golden CLI corpus, selfcheck included): {staged[1]} killed",
         f"stage 2 (tier-1 suite on the stage-1 survivors): {staged[2]} killed",
-        f"survivors: {len(survivors)}, unexplained: {len(unexplained)}",
+        f"survivors: {len(survivors)}, unexplained: {len(unexplained)}, stale reasons: {len(stale)}",
         "",
     ]
     for module, line, key in survivors:
         lines.append(f"{module}.py:{line} {key}")
         lines.append(f"    {REASONS.get(key, 'UNEXPLAINED')}")
+    for key in stale:
+        lines.append(f"STALE {key}")
+        lines.append(f"    {REASONS[key]}")
     lines += ["", "stage 2 kills:"] + [f"{module}.py:{line} {key}" for module, line, key in stage2]
     REPORT.write_text("\n".join(lines) + "\n")
     print("\n".join(lines[2:8]), file=sys.stderr)
-    return 1 if unexplained else 0
+    return 1 if unexplained or stale else 0
 
 
 if __name__ == "__main__":
