@@ -225,6 +225,12 @@ CASES: dict[str, list[str]] = {
     "sweep_exit4_w_max_too_large": (
         ["sweep", "-r", "2", "-d", "1", "-a", "1", "--w-max", str(10 ** 19), "--g", "2"]),
     "selfcheck": ["selfcheck"],
+    # w = 433 is prime and 433 = 6 mod 7: the class (1, 62) of m = 1 has rank 1, outside {0, 6}, and
+    # would count C(68, 6) > 10**8 visits if the budget read it as a rank-0 class, so a budget that
+    # counts the wrong classes exits 4 here before the cases below start a brute force it misjudged
+    "invariant_oracle_permissive_rank7_w433_table": (
+        ["invariant", "-r", "7", "-d", "6", "-a", "1", "-w", "433", "-g", "2", "--route", "oracle",
+         "--permissive"]),
     # r = 7, w = 7^4 is proven, and its rank-0 classes (0, 343), (0, 49), (0, 7), (0, 1) would send
     # 2403590750354 decompositions through the slice brute force: the oracle refuses before it
     # starts, the closed form answers, and a sweep keeps the points it printed before it

@@ -60,10 +60,6 @@ class TestClosedForm:
         with pytest.raises(UnsupportedQueryError):
             qm_elliptic_closed(query)
 
-    def test_degree_zero_rejected(self):
-        with pytest.raises(ValueError, match="needs w >= 1"):
-            qm_elliptic_closed(q2(0, 0))
-
 
 class TestOracle:
     def test_rank_two_degree_three_with_breakdown(self):
@@ -451,6 +447,11 @@ class TestInputChecks:
             (lambda: InvariantQuery(r=1, d=0, a=0, w=1, g=2), ValueError, "rank must be >= 2"),
             (lambda: qm_moduli(q2(1, 3), route="x"), ValueError, "unknown route 'x'"),
             (lambda: qm_degree_zero(q2(1, 1)), ValueError, "expects w = 0"),
+            (
+                lambda: qm_elliptic_closed(q2(0, 0)),
+                ValueError,
+                "^a positive-degree route needs w >= 1; w = 0 is the elliptic-side constant-map count$",
+            ),
             (lambda: qm_elliptic_oracle(q2(0, 0)), ValueError, "needs w >= 1"),
             # the proven-set rule refuses w = 0 as the routes do, whatever the rank
             (lambda: invariants.unproven_reason(q2(0, 0)), ValueError, "^a positive-degree route needs w >= 1"),

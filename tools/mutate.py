@@ -40,9 +40,10 @@ exits 1 if a survivor has no reason or a reason is stale.  The score
 leaves the explained (equivalent) survivors out of the denominator, so
 deleting killed code cannot lower it; the raw counts follow on their own
 line, then killed / all per module, with the stage-1 kills in brackets.  After the survivors, a
-``stage 2 kills:`` section names, one key per line, each mutant that only
-the tier-1 suite killed: the faults a user with the CLI and ``selfcheck``
-alone would not see.  To score another checkout,
+``stage 2 kills:`` section names each mutant that only the tier-1 suite
+killed, the faults a user with the CLI and ``selfcheck`` alone would not
+see, and under it the first test that failed on it: the test that must
+stay while no other detector catches that fault.  To score another checkout,
 run its own copy of this script.  A run took 3.2 to 4.6 minutes on a
 2-vCPU machine with Python 3.11, so it is not part of tier-1.
 """
@@ -52,6 +53,7 @@ from __future__ import annotations
 import ast
 import copy
 import os
+import re
 import resource
 import shutil
 import signal
@@ -101,6 +103,7 @@ for name, argv in CASES.items():
             sys.exit("golden case " + name)
 """
 STAGE2 = ["-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "tests"]
+FAILED_LINE = re.compile(r"FAILED (\S+?(?:\[.*?\])?)(?: - |$)")
 
 # Parents shown around a mutated constant, so that "1 -> 2" has a context.
 CONTEXTS = (ast.expr, ast.Assign, ast.AugAssign, ast.Return)
@@ -259,7 +262,11 @@ def _limit_memory():
 
 
 def run_detector(args: list[str], cwd: Path, timeout: float) -> str | None:
-    """Run one detector process; None if it passes, else why it failed."""
+    """Run one detector process; None if it passes, else why it failed.
+
+    Why is the node id of the first test pytest reports ``FAILED``, or
+    else the exit code and the last line of output.
+    """
     env = dict(os.environ, PYTHONPATH=str(cwd / "src"), PYTHONDONTWRITEBYTECODE="1")
     proc = subprocess.Popen(
         [sys.executable, *args], cwd=cwd, env=env,
@@ -275,7 +282,10 @@ def run_detector(args: list[str], cwd: Path, timeout: float) -> str | None:
     if proc.returncode == 0:
         return None
     lines = out.decode(errors="replace").strip().splitlines()
-    return f"exit {proc.returncode}: {lines[-1] if lines else ''}"
+    # pytest's summary line "FAILED <nodeid> - <message>" names the killing test;
+    # a parametrize id in brackets may hold " - " itself
+    failed = [m[1] for m in map(FAILED_LINE.match, lines) if m]
+    return failed[0] if failed else f"exit {proc.returncode}: {lines[-1] if lines else ''}"
 
 
 def copy_checkout(dest: Path) -> None:
@@ -316,7 +326,7 @@ def main() -> int:
                 if failure:
                     killed[module, stage] += 1
                     if stage == 2:
-                        stage2.append((module, line, key))
+                        stage2.append((module, line, key, failure))
                     verdict = f"killed by stage {stage} ({failure})"
                     break
             paths[module].write_text(baseline[module])
@@ -352,7 +362,10 @@ def main() -> int:
     for key in stale:
         lines.append(f"STALE {key}")
         lines.append(f"    {REASONS[key]}")
-    lines += ["", "stage 2 kills:"] + [f"{module}.py:{line} {key}" for module, line, key in stage2]
+    lines += ["", "stage 2 kills:"]
+    for module, line, key, failure in stage2:
+        lines.append(f"{module}.py:{line} {key}")
+        lines.append(f"    killed by {failure}")
     REPORT.write_text("\n".join(lines) + "\n")
     print("\n".join(lines[2:8]), file=sys.stderr)
     return 1 if unexplained or stale else 0
