@@ -17,6 +17,7 @@ from pathlib import Path
 
 import pytest
 
+import qminv.arith as arith
 import qminv.cli as cli
 import qminv.invariants as invariants
 import qminv.quotloc as quotloc
@@ -49,16 +50,6 @@ class TestInvariantCommand:
             record = json.loads(out)
             assert record["value"] == "4"
             assert record["route"] == "closed_form"
-
-    def test_decimal_flag_marks_approximation(self, capsys):
-        _, out, _ = run(
-            capsys,
-            "invariant", "-r", "2", "-d", "1", "-a", "1", "-w", "3", "-g", "2",
-            "--decimal", "--format", "json",
-        )
-        record = json.loads(out)
-        assert record["value"] == "8/3"
-        assert abs(record["approx"] - 8 / 3) < 1e-12
 
     def test_decimal_too_large_for_float(self, capsys):
         # 7^400 * 16/7 overflows a float; the exact value is still fine
@@ -129,16 +120,6 @@ class TestInvariantCommand:
             "--raw", "--format", "json",
         )
         assert json.loads(out)["raw"] == "(2)*t"
-
-    def test_out_file(self, capsys, tmp_path):
-        target = tmp_path / "record.json"
-        code, _, _ = run(
-            capsys,
-            "invariant", "-r", "2", "-d", "1", "-a", "1", "-w", "3", "-g", "2",
-            "--out", str(target),
-        )
-        assert code == 0
-        assert json.loads(target.read_text())["value"] == "8/3"
 
     def test_out_in_missing_directory(self, capsys, tmp_path):
         # an empty path is as unwritable as a missing directory
@@ -417,6 +398,19 @@ class TestOracleCanDisagree:
         assert disagreement.startswith("route disagreement: closed=8/3 oracle=")
         assert unwritable.startswith("invalid input: cannot write --out file: ")
 
+    @pytest.mark.parametrize(
+        "scan, closed, oracle", [(slice(-1), "8/9", "8/3"), (slice(1, None), "8/3", "8/9")], ids=["missing-w", "missing-1"]
+    )
+    def test_shared_divisor_scan_fault_disagrees(self, capsys, monkeypatch, scan, closed, oracle):
+        # both routes read arith.divisors: the closed form sums m/w over the scan and the
+        # oracle 1/m, so a scan that loses w, or 1, moves them apart; only a fault that is
+        # symmetric under m <-> w/m, such as losing both, would move them alike
+        real = arith.divisors
+        for module in (arith, invariants, quotloc):
+            monkeypatch.setattr(module, "divisors", lambda w: real(w)[scan])
+        code, _, err = run(capsys, "invariant", "-r", "2", "-d", "1", "-a", "1", "-w", "9", "-g", "2")
+        assert (code, err) == (2, f"route disagreement: closed={closed} oracle={oracle}\n")
+
     def test_oracle_decides_emptiness_itself(self, capsys, monkeypatch):
         # the oracle reads emptiness off its own base degrees, so a broken
         # degree_congruent moves only the closed form
@@ -617,19 +611,6 @@ class TestSweepCommand:
         assert err.startswith("unsupported query: no proven closed form for r=3, w=4:")
         assert not target.exists()
 
-    def test_deterministic_order(self, capsys):
-        _, first, _ = run(
-            capsys,
-            "sweep", "-r", "2", "-d", "0", "-a", "1", "--w-max", "4", "--g", "2..3",
-        )
-        _, second, _ = run(
-            capsys,
-            "sweep", "-r", "2", "-d", "0", "-a", "1", "--w-max", "4", "--g", "2..3",
-        )
-        assert first == second
-        positions = [first.index(f"g={g} w={w} ") for g in (2, 3) for w in (1, 2, 3, 4)]
-        assert positions == sorted(positions)
-
 
 def _record_strings(node):
     """Every value, contribution, closed, oracle, lhs and rhs string of a record."""
@@ -702,6 +683,31 @@ class TestSelfcheckCommand:
         monkeypatch.setattr(QSeries, "one", classmethod(lambda cls, n: cls((Fraction(head),) + (Fraction(tail),) * n)))
         name, ok, _ = selfcheck._check_exp_euler_product()
         assert (name, ok) == ("exp of the eta-log recovers the Euler product", False)
+
+    @pytest.mark.parametrize(
+        "module, name, fault, check",
+        [
+            # the series' right side reads sigma_1 at the other parity
+            (invariants, "sigma_sieve", lambda real: lambda order: [0, *real(order)[:-1]],
+             "variable negation is an involution with clean parity split"),
+            (selfcheck, "solve_base_degrees", lambda real: lambda r, a, w: real(r, a, w)[::-1],
+             "degree-vector solutions satisfy both equations"),
+            (selfcheck, "slice_euler_bruteforce", _shift_slice_euler, "brute-force slice Euler characteristics equal r*k"),
+            (quotloc, "torsion_order", _double_stabilizer, "wall components: stabilizer and Euler ledger"),
+            # the closed form's scan loses 1, then w
+            (invariants, "divisors", lambda real: lambda w: real(w)[1:], "wall-crossing oracle equals the closed form"),
+            (invariants, "divisors", lambda real: lambda w: real(w)[:-1], "generating-series identities hold"),
+            (selfcheck, "laurent_residue", _swap_slots, "residue engine matches the symbolic expansion"),
+            # the moduli side without its r^(2g) factor
+            (selfcheck, "qm_moduli", lambda real: invariants.qm_elliptic, "moduli-side values carry the r^(2g) factor"),
+        ],
+        ids=["negation", "degree-solver", "slice-euler", "ledger", "oracle", "series", "residue", "factor"],
+    )
+    def test_each_check_sees_a_fault_in_what_it_checks(self, capsys, monkeypatch, module, name, fault, check):
+        # the golden replay shows every check passing; each must also be able to fail
+        monkeypatch.setattr(module, name, fault(getattr(module, name)))
+        code, out, _ = run(capsys, "selfcheck")
+        assert code == 1 and f"FAIL {check}  " in out
 
     @pytest.mark.parametrize("index", [-1, 17], ids=["top", "interior"])
     def test_divisor_sum_check_sees_a_perturbed_sieve(self, monkeypatch, index):

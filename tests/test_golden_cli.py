@@ -292,11 +292,21 @@ def test_corpus_files_match_cases():
     assert sorted(p.stem for p in GOLDEN.glob("*.json")) == sorted(CASES)
 
 
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _stage2_killers() -> list[str]:
+    report = (ROOT / "tools" / "mutants.txt").read_text(encoding="utf-8")
+    return sorted({line.split("killed by ", 1)[1] for line in report.splitlines() if line.startswith("    killed by tests/")})
+
+
 def pytest_generate_tests(metafunc):
     # a hook, not pytest.mark.parametrize, so that tools/mutate.py's first
     # detector imports this module without importing pytest
     if "name" in metafunc.fixturenames:
         metafunc.parametrize("name", sorted(CASES))
+    if "killer" in metafunc.fixturenames:
+        metafunc.parametrize("killer", _stage2_killers())
 
 
 def test_golden_case(name, tmp_path):
@@ -331,6 +341,24 @@ def test_mutation_reasons_without_a_mutant_are_stale():
     assert mutate.stale_reasons(iter(keys)) == []
     assert mutate.stale_reasons(keys[1:]) == keys[:1]
     assert mutate.stale_reasons([]) == keys
+
+
+def test_stage2_killer_is_collected(killer, request):
+    # tools/mutants.txt names the one test that kills each mutant only tier-1 kills;
+    # renamed or deleted, it would leave that fault unseen, so pytest must still
+    # collect it: the killer's module is collected in-process, as pytest does
+    import pytest
+
+    path, name = killer.split("::", 1)
+    nodes = [pytest.Module.from_parent(request.session, path=ROOT / path)]
+    collected = []
+    while nodes:
+        node = nodes.pop()
+        if isinstance(node, pytest.Item):
+            collected.append(node.nodeid.split("::", 1)[1])
+        else:
+            nodes.extend(node.collect())
+    assert name in collected
 
 
 def test_corpus_module_imports_no_pytest():

@@ -35,12 +35,6 @@ def q2(d, w, g=2):
 
 
 class TestClosedForm:
-    def test_rank_two_degree_three(self):
-        result = qm_elliptic_closed(q2(1, 3))
-        # == compares a namedtuple as a plain tuple, so the class is asserted apart
-        assert type(result) is InvariantResult
-        assert result.value_t == F(8, 3)
-
     def test_parity_zero_branch(self):
         result = qm_elliptic_closed(q2(0, 3))
         assert result.value_t == 0
@@ -54,12 +48,6 @@ class TestClosedForm:
         assert sum(c for _, c in result.breakdown) == result.value_t
         assert [m for m, _ in result.breakdown] == divisors(12)
 
-    def test_unsupported_rank_raises(self):
-        # rank 3, w = 5: the divisor 5 is 2 mod 3
-        query = InvariantQuery(r=3, d=2, a=1, w=5, g=2)
-        with pytest.raises(UnsupportedQueryError):
-            qm_elliptic_closed(query)
-
 
 class TestOracle:
     def test_rank_two_degree_three_with_breakdown(self):
@@ -72,22 +60,6 @@ class TestOracle:
 
     def test_degree_one_genus_five(self):
         assert qm_elliptic_oracle(q2(1, 1, g=5)).value_t == F(8)
-
-    def test_congruence_gate_rank_three(self):
-        # degree 3 pins the base degree to 0 mod 3, so d = 0 carries the
-        # invariant and d = 1 gives the empty moduli space
-        compatible = InvariantQuery(r=3, d=0, a=1, w=3, g=2)
-        result = qm_elliptic_oracle(compatible)
-        assert result.value_t == F(8, 3)
-        assert not result.conjectural
-        empty = InvariantQuery(r=3, d=1, a=1, w=3, g=2)
-        assert qm_elliptic_oracle(empty).value_t == 0
-
-    def test_permissive_flags_conjectural(self):
-        query = InvariantQuery(r=3, d=2, a=1, w=5, g=2)
-        result = qm_elliptic_oracle(query, strict=False)
-        assert result.conjectural
-        assert result.value_t == F(12, 5)
 
 
 def _assert_one_denominator_sum(result):
@@ -246,25 +218,10 @@ class TestGenusBehaviour:
 
 
 class TestSeriesIdentities:
-    def test_odd_identity_low_coefficients(self):
-        check = series_identity_odd(2, 3)
-        assert type(check) is SeriesIdentity
-        assert check.equal
-        assert check.lhs.coefficient(1) == F(32)
-        assert check.lhs.coefficient(2) == 0
-        assert check.rhs.coefficient(1) == F(32)
-
     def test_odd_identity_genus_three_q3(self):
         check = series_identity_odd(3, 3)
         assert check.equal
         assert check.lhs.coefficient(3) == F(1024, 3)
-
-    def test_even_identity_low_coefficients(self):
-        check = series_identity_even(2, 4)
-        assert check.equal
-        assert check.lhs.coefficient(1) == 0
-        assert check.lhs.coefficient(2) == F(48)
-        assert check.lhs.coefficient(4) == F(56)
 
     def test_identities_across_genera(self):
         for g in range(2, 6):
@@ -293,17 +250,6 @@ class TestSeriesIdentities:
                 assert lhs.coefficient(w) == qm_moduli(InvariantQuery(2, d, 1, w, g)).value_t
             else:
                 assert lhs.coefficient(w) == 0
-
-    def test_odd_series_matches_elliptic_target_count(self):
-        # after stripping the prefactor, the odd part of the moduli series
-        # is twice the positive-degree genus-1 count of the elliptic curve
-        # itself, whose generating series is -log prod (1 - q^k)
-        g, order = 3, 21
-        check = series_identity_odd(g, order)
-        prefactor = F((2 - 2 * g) * 2 ** (2 * g - 1))
-        minus_u = series_log_product(order).scale(-1)
-        for w in range(1, order + 1, 2):
-            assert check.lhs.coefficient(w) / prefactor == -2 * minus_u.coefficient(w)
 
     def test_series_can_disagree(self, monkeypatch):
         # the left side reads the closed form's divisors, the right side the
@@ -345,6 +291,8 @@ class TestSeriesIdentities:
             u = series_log_product(order)
             flipped = u.negate_variable()
             check = identity(g, order)
+            # == compares a namedtuple as a plain tuple, so the class is asserted apart
+            assert type(check) is SeriesIdentity
             assert check.rhs == ((u - flipped) if d else (u + flipped)).scale(prefactor)
             assert all(type(c) is Fraction for c in check.rhs.coeffs)
             # both sides hold the shared zero at the other parity
@@ -388,6 +336,8 @@ class TestOneDivisorScan:
     def test_closed_form_scans_once(self, scans):
         result = qm_elliptic_closed(q2(1, 9))
         assert scans == [9]
+        # == compares a namedtuple as a plain tuple, so the class is asserted apart
+        assert type(result) is InvariantResult
         assert result == InvariantResult(F(26, 9), ((1, F(2)), (3, F(2, 3)), (9, F(2, 9))), "closed_form", False)
 
     @pytest.mark.parametrize("d", [0, 1])
@@ -422,16 +372,6 @@ class TestConjecturalFormula:
     def test_congruence_zero(self):
         result = qm_moduli(InvariantQuery(r=3, d=2, a=1, w=1, g=2), strict=False)
         assert result.value_t == 0
-
-    def test_rank_five_flagged(self):
-        incompatible = InvariantQuery(r=5, d=1, a=2, w=4, g=2)
-        result = qm_moduli(incompatible, strict=False)
-        assert result.value_t == 0
-        assert result.conjectural
-        compatible = InvariantQuery(r=5, d=2, a=2, w=4, g=2)
-        result = qm_moduli(compatible, strict=False)
-        assert result.value_t == F(4375, 2)
-        assert result.conjectural
 
     def test_matches_moduli_closed_form_when_proven(self):
         for w in (1, 2, 3, 4, 6, 9):

@@ -64,6 +64,7 @@ property_settings = settings(derandomize=True, deadline=None, max_examples=150)
 @example(OFF_CONGRUENCE, True)
 @example(COMPOSITE, False)
 @example(OFF_CONGRUENCE, False)
+@example(InvariantQuery(r=5, d=2, a=2, w=4, g=2), False)
 def test_strict_oracle_raises_iff_closed_form_raises(query, strict):
     """Both routes take one switch: the same error, or equal value and flag."""
     closed = _outcome(qm_elliptic_closed, query, strict=strict)
@@ -126,6 +127,8 @@ def test_off_congruence_is_zero_on_both_routes(query):
 @property_settings
 @given(queries(), st.sampled_from([ROUTE_CLOSED, ROUTE_ORACLE]), st.booleans())
 @example(InvariantQuery(r=3, d=2, a=1, w=5, g=2), ROUTE_CLOSED, False)
+@example(InvariantQuery(r=5, d=1, a=2, w=4, g=2), ROUTE_CLOSED, False)
+@example(InvariantQuery(r=5, d=2, a=2, w=4, g=2), ROUTE_CLOSED, False)
 @example(COMPOSITE, ROUTE_CLOSED, True)
 @example(COMPOSITE, ROUTE_ORACLE, False)
 def test_moduli_side_is_r_to_the_2g_times_elliptic(query, route, strict):
@@ -176,22 +179,25 @@ def test_divisor_sums_match_sympy():
         assert eta_log.coefficient(w) == Fraction(-sigma, w)
 
 
-class TestUnprovenReason:
-    def test_composite_rank_names_the_rank(self):
-        # 1 = 5 = 1 mod 4: the divisors are fine, the rank is not
-        assert unproven_reason(COMPOSITE) == (
-            "no proven closed form for r=4, w=5: the rank 4 is not prime"
-        )
+@pytest.mark.parametrize("r", [r for r in range(2, 30) if all(r % p for p in range(2, r))])
+def test_prime_rank_gate_reads_the_primes_of_w(r):
+    # every divisor of w is 0 or a mod r exactly when a = 1 (1 divides w) and every
+    # prime of w is 0 or 1 mod r (the divisors prime to r are products of such
+    # primes); sympy factorises w apart from qminv's own divisor scan
+    sympy = pytest.importorskip("sympy")
+    for w in range(1, 340):
+        primes_fit = all(p % r in (0, 1) for p in sympy.primefactors(w))
+        for a in range(1, r):
+            proven = unproven_reason(InvariantQuery(r=r, d=0, a=a, w=w, g=2)) is None
+            assert proven == (a == 1 and primes_fit), (a, w)
 
+
+class TestUnprovenReason:
     def test_prime_rank_text(self):
         query = InvariantQuery(r=3, d=2, a=1, w=5, g=2)
         assert unproven_reason(query) == (
             "no proven closed form for r=3, w=5: some divisor of w lies outside {0, 1} mod 3"
         )
-
-    def test_rank_two_always_proven(self):
-        for w in range(1, 200):
-            assert unproven_reason(InvariantQuery(r=2, d=w % 2, a=1, w=w, g=2)) is None
 
     def test_a_other_than_one_is_never_proven(self):
         # 1 divides every w, and 1 mod r lies outside {0, a} when a != 1
