@@ -8,9 +8,9 @@ exact rational.
 
 ``__all__`` is what a caller needs: the query, the routes and their
 results, the series identities, and the wall components with the types
-a result holds.  The pipeline's own steps (divisor scans, the degree
-solve, the residue engine, the slice brute force) stay importable from
-their modules.
+a result holds.  The pipeline's own steps (the factorisation, the
+divisor scan, the degree solve, the residue engine, the slice brute
+force) stay importable from their modules.
 """
 
 from .arith import ChernClass, InvariantQuery

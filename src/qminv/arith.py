@@ -1,12 +1,14 @@
 """Number-theoretic and elliptic-torsion primitives.
 
-Divisor enumeration is the kernel of every positive-degree invariant: the
-closed form reads sum_{m|w} 1/m as ``sum(divisors(w)) / w``, and no
-sigma_{-1} function exists.  The rest of the module fixes the bookkeeping
-of a query: the normalisation class of a (rank, degree) pair, the integer
-system that transports the quasimap degree w into the base-direction
-Chern components (c1, ch2) of the associated sheaf, and torsion subgroup
-orders E[n] = n^2.
+Factorisation is the kernel of the closed form: it reads sum_{m|w} 1/m
+as ``divisor_sum(factorise(w)) / w``, and the proven-set gate reads the
+primes of w from the same factorisation.  The wall-crossing oracle reads
+``divisors(w)``, a scan that shares no code with ``factorise``, so the
+two routes share only ``is_prime``.  The rest of the module fixes the
+bookkeeping of a query: the normalisation class of a (rank, degree) pair,
+the integer system that transports the quasimap degree w into the
+base-direction Chern components (c1, ch2) of the associated sheaf, and
+torsion subgroup orders E[n] = n^2.
 ``InvariantQuery`` is the one home of the input rules: a step that
 needs a rule on r, a or g (the gcd, the genus bound) builds a query
 rather than restating it.
@@ -19,7 +21,8 @@ import operator
 from collections import namedtuple
 
 # the largest rank and quasimap degree a query takes: divisors(w) and
-# is_prime(r) trial-divide up to the square root, at most 10**6 steps
+# is_prime(r) trial-divide up to the square root, at most 10**6 steps, and
+# factorise(w) over 2 and the odd numbers, under 5 * 10**5
 _MAX_SIZE = 10**12
 
 
@@ -40,6 +43,47 @@ def divisors(w: int) -> list[int]:
                 large.append(w // d)
         d += 1
     return small + large[::-1]
+
+
+def factorise(w: int) -> list[tuple[int, int]]:
+    """The prime factorisation of w as [(p, e), ...], p increasing; [] for w = 1.
+
+    Trial division by 2, then by odd p while p * p is at most the
+    cofactor; a cofactor above 1 that is left is prime.  w < 1 is
+    rejected, as by ``divisors``.
+    """
+    if w < 1:
+        raise ValueError(f"factorise requires w >= 1, got {w}")
+    factors = []
+    e = 0
+    while w % 2 == 0:
+        w //= 2
+        e += 1
+    if e:
+        factors.append((2, e))
+    p = 3
+    while p * p <= w:
+        if w % p == 0:
+            e = 0
+            while w % p == 0:
+                w //= p
+                e += 1
+            factors.append((p, e))
+        p += 2
+    if w > 1:
+        factors.append((w, 1))
+    return factors
+
+
+def divisor_sum(factors: list[tuple[int, int]]) -> int:
+    """sigma_1, the sum of the divisors, of the integer factorised as ``factors``.
+
+    sigma_1 is multiplicative, and sigma_1(p^e) = (p^(e+1) - 1) / (p - 1).
+    """
+    total = 1
+    for p, e in factors:
+        total *= (p ** (e + 1) - 1) // (p - 1)
+    return total
 
 
 def is_prime(n: int) -> bool:

@@ -15,11 +15,15 @@ All reported values are reduced, i.e. the coefficient of the equivariant
 parameter t (the CLI's ``--raw`` prints that coefficient times t).  The
 moduli-side invariant carries the extra factor r^(2g) and doubles as the
 Vafa-Witten invariant of the product surface.  ``_gate`` is the home of
-the proven-set rule: every w >= 1 route calls it, and the closed form's
-value and breakdown read its one scan of the divisors of w.  The series
-identities read one moduli-side value per coefficient from the same
-kernel as ``qm_elliptic_closed``, with the factor r^(2g) inside its one
-``Fraction`` and no breakdown.
+the proven-set rule: every w >= 1 route calls it, and it reads the primes
+of w from one factorisation, ``arith.factorise``.  The closed form's value
+reads sigma_1(w) from the same factorisation, and only its breakdown lists
+the divisor set, as products of prime powers.  The oracle enumerates its
+components over its own scan of w (``quotloc.wall_components``), so the
+routes share only ``is_prime``.  The series identities read one
+moduli-side value per coefficient from the same kernel as
+``qm_elliptic_closed``, with the factor r^(2g) inside its one ``Fraction``
+and no breakdown.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .arith import InvariantQuery, divisors, is_prime
+from .arith import InvariantQuery, divisor_sum, factorise, is_prime
 from .exactalg import _ZERO, QSeries, sigma_sieve
 from .quotloc import component_residue_degree, wall_components
 
@@ -57,71 +61,88 @@ def degree_congruent(query: InvariantQuery) -> bool:
     return (query.w - query.d * query.a) % query.r == 0
 
 
-def _gate(query: InvariantQuery, strict: bool) -> tuple[str | None, list[int] | None]:
-    """The proven-set rule every w >= 1 route shares: (reason, divisors of w).
+def _gate(query: InvariantQuery, strict: bool) -> tuple[str | None, list[tuple[int, int]] | None]:
+    """The proven-set rule every w >= 1 route shares: (reason, factorisation of w).
 
     w < 1 raises ``ValueError``.  The reason is None when the query is
-    proven: r is prime and every divisor of w is 0 or a mod r.  A
-    composite rank is refused before any scan (divs is then None);
-    otherwise divs is the one scan of the divisors of w the rule read.
-    With a reason, ``strict`` raises ``UnsupportedQueryError``.
+    proven: r is prime and every divisor of w is 0 or a mod r.  That holds
+    exactly when a = 1 (1 divides w) and every prime of w is 0 or 1 mod r,
+    because a divisor prime to r is a product of primes of w other than
+    r.  A composite rank is refused before any factorisation (factors is
+    then None); otherwise factors is the one ``factorise(w)`` the rule
+    read.  With a reason, ``strict`` raises ``UnsupportedQueryError``.
     """
     if query.w < 1:
         raise ValueError("a positive-degree route needs w >= 1; w = 0 is the elliptic-side constant-map count")
     r, w, a = query.r, query.w, query.a
-    divs = reason = None
+    factors = reason = None
     if not is_prime(r):
         reason = f"no proven closed form for r={r}, w={w}: the rank {r} is not prime"
     else:
-        divs = divisors(w)
-        if not all(m % r in (0, a) for m in divs):
+        factors = factorise(w)
+        if a != 1 or not all(p % r in (0, 1) for p, _ in factors):
             reason = f"no proven closed form for r={r}, w={w}: some divisor of w lies outside {{0, {a}}} mod {r}"
     if strict and reason is not None:
         raise UnsupportedQueryError(reason)
-    return reason, divs
+    return reason, factors
 
 
 def unproven_reason(query: InvariantQuery) -> str | None:
     """Why an elliptic-side query is outside the proven set, or None.
 
     The rule is ``_gate``'s, shared by every route on both sides: r is
-    prime and every divisor of w is 0 or a mod r.  w < 1 raises the
-    routes' ``ValueError`` for any rank.  The rule ignores the congruence
-    w = d*a mod r, so the 0 of an unproven query off the congruence stays
-    conjectural.
+    prime and every divisor of w is 0 or a mod r, decided from the primes
+    of w.  w < 1 raises the routes' ``ValueError`` for any rank.  The rule
+    ignores the congruence w = d*a mod r, so the 0 of an unproven query
+    off the congruence stays conjectural.
     """
     return _gate(query, strict=False)[0]
 
 
-def _closed_form(query: InvariantQuery, strict: bool, factor: int = 1) -> tuple[Fraction, list[int], bool]:
-    """The closed form's value_t times ``factor``, its divisors and the conjectural flag.
+def _closed_form(
+    query: InvariantQuery, strict: bool, factor: int = 1
+) -> tuple[Fraction, list[tuple[int, int]] | None, bool]:
+    """The closed form's value_t times ``factor``, the factorisation of w and the conjectural flag.
 
-    The value reads ``_gate``'s scan; only a composite rank, evaluated in
-    permissive mode, scans again, and off the congruence w = d*a mod r
-    the value is 0 over no divisor.  The integer ``factor`` enters the
-    numerator of the value's one ``Fraction``.
+    The value reads ``_gate``'s factorisation; only a composite rank,
+    evaluated in permissive mode, factorises w here.  Off the congruence
+    w = d*a mod r the value is 0 and the factorisation None.  The integer
+    ``factor`` enters the numerator of the value's one ``Fraction``.
     """
-    reason, divs = _gate(query, strict)
+    reason, factors = _gate(query, strict)
     conjectural = reason is not None
     if not degree_congruent(query):
-        return Fraction(0), [], conjectural
-    divs = divs or divisors(query.w)
+        return Fraction(0), None, conjectural
+    if factors is None:
+        factors = factorise(query.w)
     # sum_{m|w} 1/m = sum_{m|w} (w/m) / w = sigma_1(w) / w: one integer
-    # sum and a single Fraction.
-    return Fraction((2 * query.g - 2) * sum(divs) * factor, query.w), divs, conjectural
+    # product over the primes and a single Fraction.
+    return Fraction((2 * query.g - 2) * divisor_sum(factors) * factor, query.w), factors, conjectural
 
 
 def qm_elliptic_closed(query: InvariantQuery, strict: bool = True) -> InvariantResult:
     """Elliptic-side invariant by the divisor-sum formula.
 
     (2g-2) * sum_{m|w} 1/m when w = d*a mod r, and 0 otherwise, with one
-    breakdown entry (m, (2g-2)/m) per divisor m of w.  ``strict`` is the
-    proven-set gate it shares with the oracle (``_gate``), whose divisor
-    scan the value and breakdown read.
+    breakdown entry (m, (2g-2)/m) per divisor m of w, in increasing
+    order.  ``strict`` is the proven-set gate it shares with the oracle
+    (``_gate``).  The value and the breakdown read the gate's one
+    factorisation of w: the divisor set is every product of its prime
+    powers.
     """
-    value, divs, conjectural = _closed_form(query, strict)
+    value, factors, conjectural = _closed_form(query, strict)
+    if factors is None:
+        return InvariantResult(value, (), ROUTE_CLOSED, conjectural)
+    # the divisor set: the products so far times p, p^2, ..., p^e for each prime
+    ms = [1]
+    for p, e in factors:
+        multiples = ms
+        for _ in range(e):
+            multiples = [m * p for m in multiples]
+            ms += multiples
+    ms.sort()
     scale = 2 * query.g - 2
-    breakdown = tuple((m, Fraction(scale, m)) for m in divs)
+    breakdown = tuple((m, Fraction(scale, m)) for m in ms)
     return InvariantResult(value, breakdown, ROUTE_CLOSED, conjectural)
 
 

@@ -16,7 +16,9 @@ from .arith import (
     ChernClass,
     InvariantQuery,
     canonical_u_choice,
+    divisor_sum,
     divisors,
+    factorise,
     solve_base_degrees,
 )
 from .exactalg import EquivCoeff, QSeries, laurent_residue, series_log_product, sigma_sieve
@@ -39,11 +41,15 @@ Check = tuple[str, bool, str]
 
 
 def _check_eta_log_divisor_sums() -> Check:
-    # the two routes' sigma_1: the closed form's divisor scan against the sieve the series reads
+    # sigma_1 three ways against the eta-log: the closed form's product over the
+    # primes of w, the oracle's divisor scan, and the sieve the series' right side reads
     order = 40
     scan = [0, *(sum(divisors(w)) for w in range(1, order + 1))]
     series = series_log_product(order)
-    bad = [w for w in range(1, order + 1) if series.coefficient(w) * w != -scan[w]]
+    bad = [
+        w for w in range(1, order + 1)
+        if not -series.coefficient(w) * w == scan[w] == divisor_sum(factorise(w))
+    ]
     if sigma_sieve(order) != scan:
         bad.append("sieve")
     return ("eta-log coefficients are -sigma_{-1}(w)", not bad, f"mismatches: {bad}")
@@ -119,9 +125,10 @@ def _check_slice_euler() -> Check:
 
 
 def _check_component_ledger() -> Check:
-    # the proven-set rule reads the divisors of w mod r, a component's
-    # quotient rank is -a^(-1) * (w/m) mod r: a query is proven exactly
-    # when all its components are supported, on the congruence
+    # the proven-set rule reads the primes of w mod r, a component's
+    # quotient rank is -a^(-1) * (w/m) mod r over the divisors m of w: a
+    # query is proven exactly when all its components are supported, on
+    # the congruence
     ok = True
     for r, a, top in ((2, 1, 60), (3, 1, 30), (3, 2, 30)):
         for w in range(1, top + 1):

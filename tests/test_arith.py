@@ -1,4 +1,4 @@
-"""Divisor machinery, the normalisation class, and degree bookkeeping."""
+"""Divisors and factorisation, the normalisation class, and degree bookkeeping."""
 
 import math
 import random
@@ -10,7 +10,9 @@ from qminv.arith import (
     ChernClass,
     InvariantQuery,
     canonical_u_choice,
+    divisor_sum,
     divisors,
+    factorise,
     is_prime,
     solve_base_degrees,
     torsion_order,
@@ -42,12 +44,35 @@ class TestDivisors:
         assert divisors(10**12) == sorted(2**i * 5**j for i in range(13) for j in range(13))
 
 
+class TestFactorise:
+    def test_matches_sympy(self):
+        sympy = pytest.importorskip("sympy")
+        for w in range(1, 5001):
+            assert factorise(w) == sorted(sympy.factorint(w).items()), w
+
+    @pytest.mark.parametrize(
+        "w", [1, 2**39, 963761198400, 999999999989, 10**12],
+        ids=["one", "power-of-two", "many-divisors", "largest-prime", "size-bound"],
+    )
+    def test_matches_sympy_at_the_size_bound(self, w):
+        # 999999999989 makes the longest trial division a query can ask for
+        sympy = pytest.importorskip("sympy")
+        assert factorise(w) == sorted(sympy.factorint(w).items())
+        assert divisor_sum(factorise(w)) == sympy.divisor_sigma(w)
+
+    @pytest.mark.parametrize("w", [0, -1])
+    def test_rejects_nonpositive(self, w):
+        with pytest.raises(ValueError, match=f"^factorise requires w >= 1, got {w}$"):
+            factorise(w)
+
+
 class TestDivisorSum:
-    # sigma_1(w) = sum(divisors(w)) is the closed form's divisor sum: the
-    # closed form's value_t is (2g-2) * sigma_1(w) / w
+    # sigma_1(w) is the closed form's divisor sum, its value_t is
+    # (2g-2) * sigma_1(w) / w: the product over the factorisation, which
+    # the closed form reads, against the oracle's divisor scan
     @pytest.mark.parametrize("w, expected", [(1, 1), (6, 12), (4, 7)])
     def test_examples(self, w, expected):
-        assert sum(divisors(w)) == expected
+        assert divisor_sum(factorise(w)) == sum(divisors(w)) == expected
 
     def test_is_divisor_total(self):
         # the reference is accumulated in integer arithmetic without the
@@ -61,16 +86,17 @@ class TestDivisorSum:
                     if d != w // d:
                         total += w // d
                 d += 1
-            assert sum(divisors(w)) == total
+            assert divisor_sum(factorise(w)) == sum(divisors(w)) == total
 
     def test_small_range_full_brute_force(self):
         for w in range(1, 1501):
-            assert sum(divisors(w)) == sum(m for m in range(1, w + 1) if w % m == 0)
+            assert divisor_sum(factorise(w)) == sum(divisors(w)) == sum(m for m in range(1, w + 1) if w % m == 0)
 
     @pytest.mark.parametrize("a, b", [(4, 9), (3, 5), (8, 27), (5, 7), (9, 16), (11, 25)])
     def test_multiplicative_on_coprime_arguments(self, a, b):
         assert math.gcd(a, b) == 1
         assert sum(divisors(a * b)) == sum(divisors(a)) * sum(divisors(b))
+        assert divisor_sum(factorise(a * b)) == divisor_sum(factorise(a)) * divisor_sum(factorise(b))
 
 
 class TestCanonicalUChoice:
@@ -193,7 +219,7 @@ class TestInvariantQuery:
                 InvariantQuery(r=r, d=1, a=a, w=1, g=2, u_choice=ChernClass(1, 0))
 
     def test_rank_and_degree_bound(self):
-        # divisors(w) and is_prime(r) trial-divide up to the square root
+        # divisors(w), factorise(w) and is_prime(r) trial-divide up to the square root
         assert InvariantQuery(r=10**12, d=0, a=1, w=0, g=2).r == 10**12
         assert InvariantQuery(r=2, d=1, a=1, w=10**12, g=2).w == 10**12
         with pytest.raises(ValueError, match=r"^rank must be <= 1000000000000, got 1000000000001$"):

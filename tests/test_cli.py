@@ -399,17 +399,19 @@ class TestOracleCanDisagree:
         assert unwritable.startswith("invalid input: cannot write --out file: ")
 
     @pytest.mark.parametrize(
-        "scan, closed, oracle", [(slice(-1), "8/9", "8/3"), (slice(1, None), "8/3", "8/9")], ids=["missing-w", "missing-1"]
+        "scan, oracle",
+        [([1, 3], "8/3"), ([3, 9], "8/9"), ([3], "2/3"), ([1, 3, 3, 9], "32/9")],
+        ids=["missing-w", "missing-1", "missing-1-and-w", "3-twice"],
     )
-    def test_shared_divisor_scan_fault_disagrees(self, capsys, monkeypatch, scan, closed, oracle):
-        # both routes read arith.divisors: the closed form sums m/w over the scan and the
-        # oracle 1/m, so a scan that loses w, or 1, moves them apart; only a fault that is
-        # symmetric under m <-> w/m, such as losing both, would move them alike
-        real = arith.divisors
-        for module in (arith, invariants, quotloc):
-            monkeypatch.setattr(module, "divisors", lambda w: real(w)[scan])
+    def test_shared_divisor_scan_fault_disagrees(self, capsys, monkeypatch, scan, oracle):
+        # only the oracle reads the divisor scan of w = 9; the closed form reads the
+        # factorisation and stays at 26/9, so every fault in the scan shows, also one
+        # symmetric under m <-> w/m (losing both 1 and 9, or listing 3 twice) that
+        # moved both routes alike while they shared the scan
+        for module in (arith, quotloc):
+            monkeypatch.setattr(module, "divisors", lambda w: list(scan))
         code, _, err = run(capsys, "invariant", "-r", "2", "-d", "1", "-a", "1", "-w", "9", "-g", "2")
-        assert (code, err) == (2, f"route disagreement: closed={closed} oracle={oracle}\n")
+        assert (code, err) == (2, f"route disagreement: closed=26/9 oracle={oracle}\n")
 
     def test_oracle_decides_emptiness_itself(self, capsys, monkeypatch):
         # the oracle reads emptiness off its own base degrees, so a broken
@@ -477,10 +479,10 @@ class TestSeriesCommand:
         assert json.loads(out)["order"] == 50
 
     def test_left_side_can_disagree(self, capsys, monkeypatch):
-        # the closed form loses w from its divisors; the sigma sieve of the
+        # the closed form loses the largest prime of w; the sigma sieve of the
         # right side does not, so the identity fails
-        divisors = invariants.divisors
-        monkeypatch.setattr(invariants, "divisors", lambda w: divisors(w)[:-1])
+        factorise = invariants.factorise
+        monkeypatch.setattr(invariants, "factorise", lambda w: factorise(w)[:-1])
         code, out, err = run(capsys, "series", "--identity", "A", "--genus", "2", "--order", "9")
         assert (code, err) == (2, "")
         assert out.splitlines()[-1] == "verdict: FAIL"
@@ -694,9 +696,10 @@ class TestSelfcheckCommand:
              "degree-vector solutions satisfy both equations"),
             (selfcheck, "slice_euler_bruteforce", _shift_slice_euler, "brute-force slice Euler characteristics equal r*k"),
             (quotloc, "torsion_order", _double_stabilizer, "wall components: stabilizer and Euler ledger"),
-            # the closed form's scan loses 1, then w
-            (invariants, "divisors", lambda real: lambda w: real(w)[1:], "wall-crossing oracle equals the closed form"),
-            (invariants, "divisors", lambda real: lambda w: real(w)[:-1], "generating-series identities hold"),
+            # the closed form's factorisation loses its exponents, then its largest prime
+            (invariants, "factorise", lambda real: lambda w: [(p, 1) for p, _ in real(w)],
+             "wall-crossing oracle equals the closed form"),
+            (invariants, "factorise", lambda real: lambda w: real(w)[:-1], "generating-series identities hold"),
             (selfcheck, "laurent_residue", _swap_slots, "residue engine matches the symbolic expansion"),
             # the moduli side without its r^(2g) factor
             (selfcheck, "qm_moduli", lambda real: invariants.qm_elliptic, "moduli-side values carry the r^(2g) factor"),
@@ -721,6 +724,14 @@ class TestSelfcheckCommand:
         monkeypatch.setattr(selfcheck, "sigma_sieve", perturbed)
         name, ok, detail = selfcheck._check_eta_log_divisor_sums()
         assert (name, ok, detail) == ("eta-log coefficients are -sigma_{-1}(w)", False, "mismatches: ['sieve']")
+
+    def test_divisor_sum_check_sees_a_perturbed_factorisation(self, monkeypatch):
+        # the closed form's kernel without the exponents: sigma_1 is right
+        # exactly at the square-free w
+        real = selfcheck.factorise
+        monkeypatch.setattr(selfcheck, "factorise", lambda w: [(p, 1) for p, _ in real(w)])
+        name, ok, detail = selfcheck._check_eta_log_divisor_sums()
+        assert not ok and detail == "mismatches: [4, 8, 9, 12, 16, 18, 20, 24, 25, 27, 28, 32, 36, 40]"
 
     def test_divisor_sum_checks_see_a_short_divisor_scan(self, monkeypatch):
         # the closed form's kernel without w itself: every sum is short by w

@@ -9,6 +9,7 @@ import qminv.invariants as invariants
 from qminv.arith import (
     InvariantQuery,
     divisors,
+    factorise,
 )
 from qminv.exactalg import _ZERO, series_log_product, sigma_sieve
 from qminv.invariants import (
@@ -46,7 +47,14 @@ class TestClosedForm:
     def test_breakdown_sums_to_value(self):
         result = qm_elliptic_closed(q2(0, 12))
         assert sum(c for _, c in result.breakdown) == result.value_t
-        assert [m for m, _ in result.breakdown] == divisors(12)
+
+    def test_breakdown_lists_the_divisor_scan(self):
+        # the breakdown's divisor set is built from the factorisation of w, in
+        # increasing order; the oracle's scan is the independent reference
+        for w in range(1, 2001):
+            result = qm_elliptic_closed(q2(w % 2, w))
+            assert [m for m, _ in result.breakdown] == divisors(w), w
+            assert all(c == F(2, m) for m, c in result.breakdown)
 
 
 class TestOracle:
@@ -252,10 +260,10 @@ class TestSeriesIdentities:
                 assert lhs.coefficient(w) == 0
 
     def test_series_can_disagree(self, monkeypatch):
-        # the left side reads the closed form's divisors, the right side the
-        # sigma sieve: a closed form that loses w from its divisors of w
+        # the left side reads the closed form's factorisation, the right side
+        # the sigma sieve: a factorisation that loses the largest prime of w
         # must fail both identities
-        monkeypatch.setattr(invariants, "divisors", lambda w: divisors(w)[:-1])
+        monkeypatch.setattr(invariants, "factorise", lambda w: factorise(w)[:-1])
         assert not series_identity_odd(2, 9).equal
         assert not series_identity_even(2, 10).equal
 
@@ -320,7 +328,7 @@ class TestSeriesIdentities:
 
 
 class TestOneDivisorScan:
-    """The closed form's gate, value and breakdown read one scan of the divisors of w."""
+    """The closed form's gate, value and breakdown read one factorisation of w, and no scan."""
 
     @pytest.fixture
     def scans(self, monkeypatch):
@@ -328,14 +336,16 @@ class TestOneDivisorScan:
 
         def counted(w):
             seen.append(w)
-            return divisors(w)
+            return factorise(w)
 
-        monkeypatch.setattr(invariants, "divisors", counted)
+        monkeypatch.setattr(invariants, "factorise", counted)
         return seen
 
     def test_closed_form_scans_once(self, scans):
         result = qm_elliptic_closed(q2(1, 9))
         assert scans == [9]
+        # the divisor scan is the oracle's alone: the closed form cannot look it up
+        assert not hasattr(invariants, "divisors")
         # == compares a namedtuple as a plain tuple, so the class is asserted apart
         assert type(result) is InvariantResult
         assert result == InvariantResult(F(26, 9), ((1, F(2)), (3, F(2, 3)), (9, F(2, 9))), "closed_form", False)

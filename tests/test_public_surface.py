@@ -51,7 +51,9 @@ def test_exported_names():
     "module, name",
     [
         ("arith", "canonical_u_choice"),
+        ("arith", "divisor_sum"),
         ("arith", "divisors"),
+        ("arith", "factorise"),
         ("arith", "is_prime"),
         ("arith", "solve_base_degrees"),
         ("arith", "torsion_order"),

@@ -115,6 +115,9 @@ REASONS = {
     "arith.canonical_u_choice: u2 = (1 - a * u1) // r -> u2 = (2 - a * u1) // r":
         "equivalent: a*u1 = 1 mod r, so 1 - a*u1 is a multiple of r, and adding"
         " 1 < r to it leaves the floor quotient unchanged",
+    "arith.factorise: w > 1 -> w > 2":
+        "equivalent: the cofactor left after the factors 2 are divided out is odd,"
+        " so it is never 2",
     "exactalg.QSeries.exp: range(1, n + 1) -> range(1, n + 2)":
         "equivalent: the extra term self**(n+1)/(n+1)! starts at q**(n+1),"
         " because the constant term is 0, so it is zero at truncation n",
