@@ -11,14 +11,16 @@ point is used anywhere.  Two coefficient types live here:
   equivariant weight of the scaling torus.  A coefficient is written as
   a literal and has no operations; the caller reads its fields.
 
-An expansion in the localisation variable ``z`` is a plain ``dict`` from
-exponent to ``EquivCoeff``; its producer decides which terms it holds,
-and ``laurent_residue`` reads the ``z**-1`` entry.
+An expansion in a localisation variable (``z``, or a rescaled ``u = m*z``)
+is a plain ``dict`` from exponent to ``EquivCoeff``; its producer decides
+which terms it holds, and ``laurent_residue`` reads the ``-1`` entry.
 
 A ``QSeries`` coerces its coefficients to ``Fraction`` once, on entry;
 arithmetic on ``Fraction`` coefficients never coerces its own results
-again.  An ``EquivCoeff`` coerces nothing: its one producer writes both
-fields from one ``Fraction``.  The ``QSeries`` product skips zero
+again.  An ``EquivCoeff`` coerces nothing: its one producer expands in
+``u = m*z`` and writes both fields as integers, each from the
+component's dimension, so the residue engine builds no ``Fraction``
+before the degree divides by m.  The ``QSeries`` product skips zero
 factors and ``scale`` skips zero coefficients, so each builds a new
 ``Fraction`` only where a nonzero value needs one; a skipped zero stays
 the module's shared zero.
@@ -175,8 +177,9 @@ class EquivCoeff(namedtuple("EquivCoeff", "t omega", defaults=(_ZERO, _ZERO))):
     residue has a z**0 part to carry, so there is no constant slot.
     Degree-2 terms (t**2, t*omega) are not represented: the base is a
     curve, and the value is read in t-degree 1.  A coefficient is a plain
-    record: it is written as a literal from ``Fraction`` values, an
-    omitted field is the shared zero, and it has no operations.
+    record: it is written as a literal from integer or ``Fraction``
+    values, an omitted field is the shared ``Fraction`` zero, and it has
+    no operations.
     """
 
     __slots__ = ()
@@ -188,5 +191,5 @@ _ZERO_COEFF = EquivCoeff()
 
 
 def laurent_residue(f: dict[int, EquivCoeff]) -> EquivCoeff:
-    """Coefficient of z**-1 in a z-expansion; the zero element without a pole."""
+    """Residue of an expansion in z or u = m*z: its ``-1`` entry; the zero element without a pole."""
     return f.get(-1, _ZERO_COEFF)

@@ -7,6 +7,8 @@ computes their dimensions, stabilizer orders and slice Euler
 characteristics (the rank-0 quotient case by brute-force torus
 localization over all fixed-locus decompositions, each read off from its
 partial sums), and extracts each component's z-residue contribution.
+The residue is expanded in the rescaled variable u = m*z, where its
+coefficients are integers, and divided by m once, in the degree.
 
 One rule gives every stabilizer: the torsion subgroup E[dim] of the
 component's dimension, of order ``torsion_order(dim)`` = dim^2.  Two
@@ -29,6 +31,7 @@ from .arith import ChernClass, InvariantQuery, divisors, solve_base_degrees, tor
 from .exactalg import EquivCoeff, laurent_residue
 
 _MAX_SLICE_VISITS = 10**8  # about 10 s of slice brute force, at some 10**7 decompositions a second
+_SLICE_BITS = _MAX_SLICE_VISITS.bit_length()  # b in the docstring of wall_components
 
 
 def quot_dimension(r: int, a: int, u: ChernClass) -> int:
@@ -71,22 +74,24 @@ def slice_euler_bruteforce(r: int, u: ChernClass) -> int:
 
 
 def normal_bundle_inverse_expansion(m: int, dim: int) -> dict[int, EquivCoeff]:
-    """Inverse equivariant Euler class of a component's virtual normal bundle.
+    """Inverse equivariant Euler class of a component's virtual normal bundle, in u = m*z.
 
-    The z-expansion starts 1 + (-m z)^{-1} c_1 + ..., where the first
-    Chern class of the twisted Hom complex is dim * (omega - t).  Only the
-    z^-1 term is built, as ``{-1: -c_1/m}`` (``{}`` when dim = 0): the z^0
-    term carries no t and no omega, so no degree reads it, and terms at
-    z^-2 and below cannot contribute to any degree, because the base is a
-    curve.  The pole -(dim/m) * (omega - t) is written as a literal from
-    one ``Fraction(dim, m)``.
+    In z the expansion starts 1 + (-m z)^{-1} c_1 + ..., where the first
+    Chern class of the twisted Hom complex is c_1 = dim * (omega - t).
+    Rescaled to u = m*z it is 1 - u^{-1} c_1 + ..., whose pole has integer
+    coefficients.  Only the u^-1 term is built, as ``{-1: -c_1}`` (``{}``
+    when dim = 0): the u^0 term carries no t and no omega, so no degree
+    reads it, and terms at u^-2 and below cannot contribute to any degree,
+    because the base is a curve.  The pole -dim * (omega - t) is written as
+    a literal, each slot from dim itself, and builds no ``Fraction``; the
+    z-residue is this u-residue divided by m (dz = du / m), and
+    ``component_residue_degree`` does that division.
     """
     if m < 1:
         raise ValueError(f"divisor must be >= 1, got {m}")
     if not dim:
         return {}
-    pole = Fraction(dim, m)
-    return {-1: EquivCoeff(t=pole, omega=-pole)}
+    return {-1: EquivCoeff(t=dim, omega=-dim)}
 
 
 class WallComponent(namedtuple("WallComponent", "divisor twist quotient_class dim stab_order slice_euler supported")):
@@ -121,7 +126,7 @@ def wall_components(query: InvariantQuery) -> list[WallComponent]:
     c1, ch2 = solve_base_degrees(r, a, query.w)
     if c1 % r != query.d % r:
         return []
-    classes, visits = [], 0
+    classes, visits, top = [], 0, min(r - 1, _SLICE_BITS)
     for m in divisors(query.w):
         x1, x2 = c1 // m, ch2 // m
         h = -(-x1 // r)
@@ -129,7 +134,7 @@ def wall_components(query: InvariantQuery) -> list[WallComponent]:
         dim = quot_dimension(r, a, u_m)
         if dim != query.w // m:
             raise RuntimeError(f"component m={m} has dimension {dim}, expected w/m = {query.w // m}")
-        visits += math.comb(u_m.deg + r - 1, min(u_m.deg, r - 1, _MAX_SLICE_VISITS.bit_length())) if u_m.rank == 0 else 0
+        visits += math.comb(u_m.deg + r - 1, min(u_m.deg, top)) if u_m.rank == 0 else 0
         classes.append((m, h, u_m, dim))
     if visits > _MAX_SLICE_VISITS:
         raise ValueError(f"the slice brute force for r={r}, w={query.w} would visit at least {visits} decompositions, "
@@ -144,14 +149,16 @@ def component_residue_degree(component: WallComponent, genus: int) -> Fraction:
     The component's virtual class is point-supported along the base
     curve, so only the t-linear part of the residue survives the product;
     taking degree then pairs in the (2g-2) factor and the orbifold Euler
-    ratio slice_euler / stab_order.  The product is built as one
-    ``Fraction`` over integer numerator and denominator.  For both analysed
-    classes the result collapses to (2g-2)/m.
+    ratio slice_euler / stab_order.  The residue is read in u = m*z, where
+    its t slot is an integer, and the one division by m that maps it back
+    to z happens inside the product's one ``Fraction``, built over integer
+    numerator and denominator.  For both analysed classes the result
+    collapses to (2g-2)/m.
     """
     t = laurent_residue(
         normal_bundle_inverse_expansion(component.divisor, component.dim)
     ).t
     return Fraction(
-        t.numerator * (2 * genus - 2) * component.slice_euler,
-        t.denominator * component.stab_order,
+        t * (2 * genus - 2) * component.slice_euler,
+        component.divisor * component.stab_order,
     )

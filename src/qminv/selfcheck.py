@@ -171,13 +171,14 @@ def _check_residue_pairing() -> Check:
         dim = rng.randrange(1, 30)
         g = rng.randrange(2, 6)
         f = normal_bundle_inverse_expansion(m, dim)
-        residue = laurent_residue(f)
+        # the residue in u = m*z; the z-residue divides each slot by m
+        z_residue = EquivCoeff(*(Fraction(v, m) for v in laurent_residue(f)))
         # -dim/m * (omega - t), written out slot by slot
         expected = EquivCoeff(t=Fraction(dim, m), omega=Fraction(-dim, m))
-        ok = ok and list(f) == [-1] and residue == expected
+        ok = ok and list(f) == [-1] and z_residue == expected
         # a component of dimension 0 has no pole, and its residue is zero
         ok = ok and laurent_residue(normal_bundle_inverse_expansion(m, 0)) == EquivCoeff(t=0, omega=0)
-        value = residue.t * (2 * g - 2) * Fraction(1, dim)
+        value = z_residue.t * (2 * g - 2) * Fraction(1, dim)
         ok = ok and value == Fraction(2 * g - 2, m)
     return ("residue engine matches the symbolic expansion", ok, "")
 

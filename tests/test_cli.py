@@ -339,6 +339,12 @@ def _shift_slice_euler(original):
     return lambda r, u: original(r, u) + 1
 
 
+def _degree_without_the_division_by_m(component, genus):
+    # the residue in u = m*z read as the z-residue: the denominator loses its m
+    t = quotloc.laurent_residue(quotloc.normal_bundle_inverse_expansion(component.divisor, component.dim)).t
+    return Fraction(t * (2 * genus - 2) * component.slice_euler, component.stab_order)
+
+
 def _swap_slots(original):
     # the omega slot read as t: the pole's omega is minus its t
     def perturbed(f):
@@ -370,6 +376,16 @@ class TestOracleCanDisagree:
         )
         assert code == 2
         assert err.startswith("route disagreement: ")
+
+    def test_degree_without_the_division_by_m_disagrees(self, capsys, monkeypatch):
+        # both components at w = 3 then contribute (2g-2), where they contribute (2g-2)/m
+        monkeypatch.setattr(invariants, "component_residue_degree", _degree_without_the_division_by_m)
+        code, _, err = run(
+            capsys,
+            "invariant", "-r", "2", "-d", "1", "-a", "1", "-w", "3", "-g", "3",
+            "--route", "both",
+        )
+        assert (code, err) == (2, "route disagreement: closed=16/3 oracle=8\n")
 
     def test_wrong_dimension_fails_the_component_check(self, capsys, monkeypatch):
         # both components at w = 3 have quotient rank r - 1, where the value

@@ -194,8 +194,9 @@ class TestEquivCoeff:
 class TestComponentDegree:
     """The degree is built as one ``Fraction``; a dense product checks it.
 
-    The reference multiplies the residue's ``t`` slot, the (2g-2) factor
-    and the orbifold Euler ratio as three ``Fraction``s.  The component
+    The reference multiplies the z-residue's ``t`` slot (the ``t`` slot of
+    the residue in u = m*z, over m), the (2g-2) factor and the orbifold
+    Euler ratio as three ``Fraction``s.  The component
     fields are drawn freely, not from the analysed classes, so no
     cancellation special to them hides a wrong numerator or denominator.
     """
@@ -214,7 +215,7 @@ class TestComponentDegree:
             )
             residue = laurent_residue(normal_bundle_inverse_expansion(m, dim))
             degree = component_residue_degree(component, g)
-            assert degree == residue.t * (2 * g - 2) * F(slice_euler, stab_order)
+            assert degree == F(residue.t, m) * (2 * g - 2) * F(slice_euler, stab_order)
             assert type(degree) is F
 
         check()

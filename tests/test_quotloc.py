@@ -2,6 +2,8 @@
 
 import itertools
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from math import ceil, comb, gcd
 
@@ -144,10 +146,12 @@ class TestNormalBundleExpansion:
     def test_general_shape(self):
         for m in (1, 2, 3, 5):
             for dim in (1, 3, 7):
+                # the pole in u = m*z has integer slots; the z-residue divides each by m
                 f = normal_bundle_inverse_expansion(m, dim)
                 expected = EquivCoeff(t=F(dim, m), omega=F(-dim, m))
-                assert f == {-1: expected}
-                assert laurent_residue(f) == expected
+                assert list(f) == [-1] and all(type(v) is int for v in f[-1])
+                assert EquivCoeff(*(F(v, m) for v in f[-1])) == expected
+                assert laurent_residue(f) is f[-1]
 
 
 class TestWallComponents:
@@ -322,7 +326,8 @@ class TestComponentResidueDegree:
     def test_residue_pipeline_matches_omega_pairing(self):
         # The omega slot of the residue, paired against the base curve and
         # weighted by the orbifold Euler ratio, reproduces the t-side value
-        # up to the sign built into the omega - t twist.
+        # up to the sign built into the omega - t twist.  The residue is read
+        # in u = m*z, so its z-residue is its omega slot over m.
         rng = random.Random(5)
         for w, g in [(3, 2), (2, 3), *((rng.randrange(1, 60), rng.randrange(2, 6)) for _ in range(40))]:
             query = InvariantQuery(r=2, d=w % 2, a=1, w=w, g=g)
@@ -331,6 +336,21 @@ class TestComponentResidueDegree:
                     normal_bundle_inverse_expansion(c.divisor, c.dim)
                 )
                 ratio = F(c.slice_euler, c.stab_order)
-                via_omega = -(2 * g - 2) * residue.omega * ratio
+                via_omega = -(2 * g - 2) * F(residue.omega, c.divisor) * ratio
                 assert via_omega == component_residue_degree(c, g)
                 assert via_omega == F(2 * g - 2, c.divisor)
+
+    def test_one_fraction_per_component(self, monkeypatch):
+        # the residue engine works in integers: the expansion builds no
+        # Fraction, and the degree builds one, where it divides by m
+        built = Counter()
+
+        def counting(*args):
+            built[sys._getframe(1).f_code.co_name] += 1
+            return F(*args)
+
+        monkeypatch.setattr(quotloc, "Fraction", counting)
+        result = qm_elliptic_oracle(InvariantQuery(r=2, d=0, a=1, w=12, g=3))
+        assert result.value_t == F(4 * 28, 12)
+        assert len(result.breakdown) == 6
+        assert built == {"component_residue_degree": 6}
